@@ -8,15 +8,14 @@ but co-usage evidence is what neighborhoods are built from.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
-from .usage import ContingencyTable, UsageMatrix
+from .usage import ContingencyTable, UnknownItemError, UsageMatrix
 
 DEFAULT_K = 20
 
@@ -81,120 +80,167 @@ class NeighborList:
         return [item for item, _ in self.neighbors]
 
 
-def _scored_candidates(m: UsageMatrix, e: str) -> list[tuple[str, float]]:
-    """All items with positive similarity to e, sorted by (-score, id)."""
-    raters = m.raters_of(e)
-    overlap: Counter[str] = Counter()
-    for user in raters:
-        overlap.update(m.items_by_user[user])
-    del overlap[e]
-    na = len(raters)
-    total = m.total_users
-    scored = []
-    for b, k11 in overlap.items():
-        nb = len(m.raters[b])
-        t = ContingencyTable(k11, na - k11, nb - k11, total - na - nb + k11)
-        s = similarity_score(t)
-        if s > 0.0:
-            scored.append((b, s))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+@lru_cache(maxsize=8)
+def _xlx_table(n: int) -> np.ndarray:
+    """T[x] = x ln x for x = 0..n, each entry exactly as _xlx computes it.
+
+    Built with math.log, as log_likelihood_ratio is: numpy's vectorized
+    log can differ from it in the last bit (first at x = 9,170 on some
+    x86 CPUs).
+    """
+    table = np.array([_xlx(x) for x in range(n + 1)])
+    table.setflags(write=False)
+    return table
+
+
+class _Kernel:
+    """Blocked G2 neighborhoods over the integer-coded usage index.
+
+    For a block of center items it takes the sparse co-rater gram block
+    and scores only its nonzeros, so pairs with no common rater are never
+    scored. Each score repeats the float operations of
+    log_likelihood_ratio and similarity_score in their order, with x ln x
+    read from a table and the margin entropy of each item computed once,
+    so it equals the per-table score of the pair bit for bit.
+    """
+
+    def __init__(self, m: UsageMatrix):
+        self.inc = m.incidence
+        self.total = m.total_users
+        self.xlx = _xlx_table(self.total)
+        counts = self.inc.counts
+        self.entropy = ((self.xlx[self.total] - self.xlx[counts])
+                        - self.xlx[self.total - counts])
+
+    def block(self, start: int, stop: int, k: int | None,
+              tau: float | None) -> list[NeighborList]:
+        """Neighbor lists of the items numbered start..stop-1.
+
+        Threshold mode (tau set) keeps every score above tau; fixed-k mode
+        keeps the k best. Lists are ordered by (-score, item id).
+        """
+        inc, xlx, total = self.inc, self.xlx, self.total
+        gram = inc.by_item[start:stop] @ inc.by_user
+        rows = np.repeat(np.arange(start, stop), np.diff(gram.indptr))
+        cols, k11 = gram.indices, gram.data
+        del gram
+        # In-place arithmetic bounds the block's temporaries; each float
+        # operation is still the one log_likelihood_ratio makes, in order.
+        na = inc.counts[rows]
+        nb = inc.counts[cols]
+        k22 = total - na - nb + k11
+        k12 = np.subtract(na, k11, out=na)
+        k21 = np.subtract(nb, k11, out=nb)
+        # rank-1 tables score exactly 0
+        dependent = (np.multiply(k11, k22, dtype=np.int64)
+                     != np.multiply(k12, k21, dtype=np.int64))
+        mat = xlx[k11]
+        mat += xlx[k22]
+        del k22
+        cells = xlx[k12]
+        cells += xlx[k21]
+        del k12, k21
+        mat += cells
+        del cells
+        np.subtract(xlx[total], mat, out=mat)
+        score = self.entropy[rows]
+        score += self.entropy[cols]
+        score -= mat
+        del mat
+        score *= 2.0  # llr; a negative one gives a score <= 0
+        score += 1.0
+        np.divide(1.0, score, out=score)
+        np.subtract(1.0, score, out=score)
+        floor = 0.0 if tau is None else max(tau, 0.0)
+        keep = (score > floor) & dependent & (cols != rows)
+        local, cols, score = rows[keep] - start, cols[keep], score[keep]
+        del rows, k11, dependent, keep
+
+        if k is not None:
+            local, cols, score = _top_k_candidates(
+                local, cols, score, np.bincount(local, minlength=stop - start),
+                k)
+        order = np.lexsort((cols, -score, local))
+        local, cols, score = local[order], cols[order], score[order]
+        per_row = np.bincount(local, minlength=stop - start)
+        if k is not None:
+            first = np.cumsum(per_row) - per_row
+            top = np.arange(len(local)) - first[local] < k
+            cols, score = cols[top], score[top]
+            per_row = np.minimum(per_row, k)
+
+        items = inc.items
+        pairs = list(zip([items[j] for j in cols.tolist()], score.tolist()))
+        bounds = np.concatenate(([0], np.cumsum(per_row))).tolist()
+        return [NeighborList(items[start + i], pairs[bounds[i]:bounds[i + 1]])
+                for i in range(stop - start)]
+
+    def one(self, e: str, k: int | None, tau: float | None) -> NeighborList:
+        try:
+            i = self.inc.item_index[e]
+        except KeyError:
+            raise UnknownItemError(f"unknown item id: {e!r}") from None
+        return self.block(i, i + 1, k, tau)[0]
+
+
+def _top_k_candidates(local: np.ndarray, cols: np.ndarray, score: np.ndarray,
+                      per_row: np.ndarray, k: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the entries scoring below their row's k-th best score; ties
+    with it survive for the exact sort.
+
+    Entries arrive grouped by row. Rows are padded with zeros (every kept
+    score is positive) into one block for np.partition.
+    """
+    width = int(per_row.max(initial=0))
+    if width <= k:
+        return local, cols, score
+    first = np.cumsum(per_row) - per_row
+    pad = np.zeros(len(per_row) * width)
+    pad[local * width + (np.arange(len(local)) - first[local])] = score
+    kth = np.partition(pad.reshape(-1, width), width - k, axis=1)[:, width - k]
+    del pad
+    keep = score >= kth[local]
+    return local[keep], cols[keep], score[keep]
 
 
 def k_nearest_neighbors(m: UsageMatrix, e: str, k: int = DEFAULT_K) -> NeighborList:
     """Up to k most similar items to e, zero-score items excluded."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return NeighborList(e, _scored_candidates(m, e)[:k])
+    return _Kernel(m).one(e, k, None)
 
 
 def neighbors_above_threshold(m: UsageMatrix, e: str, tau: float) -> NeighborList:
     """All items with similarity to e strictly above tau, no cardinality cap."""
-    scored = [(b, s) for b, s in _scored_candidates(m, e) if s > tau]
-    return NeighborList(e, scored)
-
-
-def _llr_block(k11: np.ndarray, na: np.ndarray, nb: np.ndarray,
-               total: int) -> np.ndarray:
-    """Vectorized G2 over a (block x items) co-rater count matrix.
-
-    Same formula and zero conventions as the scalar path.
-    """
-    k12 = na - k11
-    k21 = nb - k11
-    k22 = total - na - nb + k11
-
-    def xlx(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = x[pos] * np.log(x[pos])
-        return out
-
-    row_margin_a = k11 + k12
-    row_margin_b = k21 + k22
-    col_margin_a = k11 + k21
-    col_margin_b = k12 + k22
-    n = np.full_like(k11, float(total))
-    row = xlx(row_margin_a + row_margin_b) - xlx(row_margin_a) - xlx(row_margin_b)
-    col = xlx(col_margin_a + col_margin_b) - xlx(col_margin_a) - xlx(col_margin_b)
-    mat = xlx(n) - ((xlx(k11) + xlx(k22)) + (xlx(k12) + xlx(k21)))
-    llr = 2.0 * (row + col - mat)
-    llr[k11 * k22 == k12 * k21] = 0.0
-    np.maximum(llr, 0.0, out=llr)
-    return llr
+    return _Kernel(m).one(e, None, tau)
 
 
 def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
-                  block_size: int = 256) -> dict[str, NeighborList]:
+                  block_size: int = 256, *,
+                  tau: float | None = None) -> dict[str, NeighborList]:
     """Neighbor lists for every item of the matrix.
 
-    Co-rater counts come from a sparse gram matrix computed in column
-    blocks; scores and ordering match k_nearest_neighbors pointwise.
-    The result is independent of block size and worker count.
+    Without tau, each list holds the k most similar items; with tau, every
+    item whose similarity is strictly above tau, uncapped (k is then
+    unused). Items are scored against one block of block_size centers at
+    a time, only where they share a rater, and blocks run on up to
+    `workers` threads. Each score equals similarity_score of the pair's
+    contingency table bit for bit, and the lists are the same whatever
+    the block size and worker count.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    items = sorted(m.items)
-    if not items:
+    if not m.items:
         return {}
-    users = sorted(m.users)
-    item_index = {item: i for i, item in enumerate(items)}
-    user_index = {user: i for i, user in enumerate(users)}
-
-    rows = []
-    cols = []
-    for item, raters in m.raters.items():
-        j = item_index[item]
-        for user in raters:
-            rows.append(user_index[user])
-            cols.append(j)
-    mat = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
-        shape=(len(users), len(items)), dtype=np.float64)
-    mat_t = mat.T.tocsr()
-    counts = np.asarray(mat.sum(axis=0)).ravel()  # raters per item
-    total = m.total_users
+    kernel = _Kernel(m)
+    cap = None if tau is not None else k
+    n_items = len(kernel.inc.items)
 
     def process_block(start: int) -> list[NeighborList]:
-        stop = min(start + block_size, len(items))
-        k11 = np.asarray((mat_t[start:stop] @ mat).todense())
-        na = counts[start:stop][:, None]
-        nb = counts[None, :]
-        llr = _llr_block(k11, na, nb, total)
-        score = 1.0 - 1.0 / (1.0 + llr)
-        score[k11 == 0] = 0.0
-        out = []
-        for offset in range(stop - start):
-            row = score[offset]
-            row[start + offset] = 0.0  # self
-            nz = np.flatnonzero(row > 0.0)
-            order = np.lexsort((nz, -row[nz]))[:k]
-            out.append(NeighborList(
-                items[start + offset],
-                [(items[j], float(row[j])) for j in nz[order]]))
-        return out
+        return kernel.block(start, min(start + block_size, n_items), cap, tau)
 
-    starts = range(0, len(items), block_size)
+    starts = range(0, n_items, block_size)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(process_block, starts))

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, NamedTuple
+
+import numpy as np
+from scipy import sparse
 
 
 class UnknownItemError(KeyError):
@@ -57,6 +61,21 @@ class RejectedLine(NamedTuple):
     reason: str
 
 
+@dataclass(frozen=True)
+class Incidence:
+    """Integer-coded form of a UsageMatrix.
+
+    Items are numbered in ascending id order, so ascending column index
+    is ascending item id. Both sparse matrices hold 1 per (user, item).
+    """
+
+    items: list[str]
+    item_index: dict[str, int]
+    by_item: sparse.csr_matrix  # items x users
+    by_user: sparse.csr_matrix  # users x items
+    counts: np.ndarray          # raters per item
+
+
 class UsageMatrix:
     """Immutable binary user x item incidence.
 
@@ -78,6 +97,24 @@ class UsageMatrix:
     @property
     def total_users(self) -> int:
         return len(self.users)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """The integer-coded sparse index, built on first use."""
+        items = sorted(self.items)
+        user_index = {user: j for j, user in enumerate(sorted(self.users))}
+        counts = np.fromiter((len(self.raters[item]) for item in items),
+                             dtype=np.int32, count=len(items))
+        indptr = np.zeros(len(items) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.fromiter(
+            (user_index[user] for item in items for user in self.raters[item]),
+            dtype=np.int32, count=int(indptr[-1]))
+        by_item = sparse.csr_matrix(
+            (np.ones(len(indices), dtype=np.int32), indices, indptr),
+            shape=(len(items), len(user_index)))
+        return Incidence(items, {item: i for i, item in enumerate(items)},
+                         by_item, by_item.T.tocsr(), counts)
 
     def raters_of(self, item: str) -> set[str]:
         try:

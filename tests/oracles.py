@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 from knnsum.rdf import (RDF_TYPE, Feature, PathFeature, Term, Triple,
                         TripleStore, iri, literal)
+from knnsum.similarity import similarity_score
+from knnsum.usage import ContingencyTable, UsageMatrix
 
 KNN = iri("urn:knnsum:knn")
 FILM = iri("http://example.org/Film")
@@ -47,6 +50,41 @@ def brute_contingency(pairs: list[tuple[str, str]], a: str, b: str
     k21 = len(rb - ra)
     k22 = len(users - ra - rb)
     return k11, k12, k21, k22
+
+
+# -- neighborhoods --------------------------------------------------------------
+
+def scored_candidates(m: UsageMatrix, e: str) -> list[tuple[str, float]]:
+    """Every item with positive similarity to e, sorted by (-score, id).
+
+    Counts co-raters item by item from the rater and per-user item sets,
+    scoring each pair's table with the per-table similarity_score.
+    """
+    raters = m.raters[e]
+    overlap: Counter[str] = Counter()
+    for user in raters:
+        overlap.update(m.items_by_user[user])
+    del overlap[e]
+    na = len(raters)
+    total = m.total_users
+    scored = []
+    for b, k11 in overlap.items():
+        nb = len(m.raters[b])
+        s = similarity_score(
+            ContingencyTable(k11, na - k11, nb - k11, total - na - nb + k11))
+        if s > 0.0:
+            scored.append((b, s))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored
+
+
+def knn_oracle(m: UsageMatrix, e: str, k: int) -> list[tuple[str, float]]:
+    return scored_candidates(m, e)[:k]
+
+
+def threshold_oracle(m: UsageMatrix, e: str, tau: float
+                     ) -> list[tuple[str, float]]:
+    return [(b, s) for b, s in scored_candidates(m, e) if s > tau]
 
 
 # -- triple scans --------------------------------------------------------------

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import knnsum
 
 from conftest import FILM_TYPE, KNN_PRED, film_iri, write_eight_film_corpus
 from knnsum.cli import main
@@ -156,6 +161,42 @@ def test_invalid_threshold_rejected(eight_film_corpus, capsys):
     assert build(eight_film_corpus, "--threshold", "1.5") == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_invalid_workers_rejected(eight_film_corpus, capsys, workers):
+    assert build(eight_film_corpus, "--workers", workers) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers" in err
+    assert not eight_film_corpus.bundle.exists()
+
+
+def test_threshold_build_identical_across_worker_counts(tmp_path, capsys):
+    # 600 items span three 256-item blocks, so two workers share the work
+    rng = random.Random(17)
+    lines = ["userID\tmovieID\trating"]
+    lines += [f"u{rng.randrange(90):02d}\ti{rng.randrange(600):03d}\t4.0"
+              for _ in range(6_000)]
+    (tmp_path / "ratings.dat").write_text("\n".join(lines) + "\n")
+    films = [f"i{i:03d}" for i in range(600)]
+    (tmp_path / "graph.nt").write_text("".join(
+        f"<{film_iri(f)}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+        f"<{FILM_TYPE}> .\n" for f in films))
+    (tmp_path / "links.tsv").write_text(
+        "".join(f"{f}\t{film_iri(f)}\n" for f in films))
+    bundles = []
+    for workers in ("1", "2"):
+        bundle = tmp_path / f"bundle-w{workers}.json"
+        assert main(["build", "--ratings", str(tmp_path / "ratings.dat"),
+                     "--rating-col", "2",
+                     "--triples", str(tmp_path / "graph.nt"),
+                     "--links", str(tmp_path / "links.tsv"),
+                     "--type-filter", FILM_TYPE, "--bundle", str(bundle),
+                     "--threshold", "0.5", "--workers", workers]) == 0
+        bundles.append(bundle.read_bytes())
+    capsys.readouterr()
+    assert bundles[0] == bundles[1]
+    assert sum(map(len, json.loads(bundles[0])["neighbors"].values())) > 0
+
+
 def test_threshold_mode_build_and_summarize(eight_film_corpus, capsys):
     assert build(eight_film_corpus, "--threshold", "0.5") == 0
     capsys.readouterr()
@@ -197,6 +238,10 @@ def test_cli_output_equals_library_summarize(eight_film_corpus, capsys):
 def test_module_entry_point_runs_end_to_end(eight_film_corpus):
     cmd = [sys.executable, "-m", "knnsum", "build",
            "--config", str(eight_film_corpus.config)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    # the child imports the same knnsum as this process, installed or not
+    src = str(Path(knnsum.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "knn triples added: 24" in proc.stdout

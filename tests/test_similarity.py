@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from knnsum.similarity import (NeighborList, UndefinedTableError,
                                k_nearest_neighbors, log_likelihood_ratio,
                                neighbors_above_threshold, similarity_score)
 from knnsum.usage import ContingencyTable, UnknownItemError, UsageMatrix
-from oracles import g2_oracle
+from oracles import g2_oracle, knn_oracle, threshold_oracle
 
 cells = st.integers(min_value=0, max_value=5000)
 tables = st.tuples(cells, cells, cells, cells).filter(lambda t: sum(t) > 0)
@@ -175,10 +176,8 @@ def test_all_pairs_equals_pointwise_calls():
     table = all_pairs_knn(m, 2)
     assert set(table) == m.items
     for item, nl in table.items():
-        single = k_nearest_neighbors(m, item, 2)
-        assert nl.ids() == single.ids()
-        for (_, got), (_, want) in zip(nl.neighbors, single.neighbors):
-            assert got == pytest.approx(want, rel=1e-12)
+        assert nl.neighbors == knn_oracle(m, item, 2)
+        assert k_nearest_neighbors(m, item, 2).neighbors == nl.neighbors
 
 
 def test_all_pairs_symmetric_twins_pick_each_other():
@@ -211,10 +210,66 @@ def test_all_pairs_spot_check_against_scalar_path():
     m = UsageMatrix(pairs)
     table = all_pairs_knn(m, 4)
     for item in rng.sample(sorted(m.items), 20):
-        single = k_nearest_neighbors(m, item, 4)
-        assert table[item].ids() == single.ids()
-        for (_, got), (_, want) in zip(table[item].neighbors, single.neighbors):
-            assert got == pytest.approx(want, rel=1e-9)
+        assert table[item].neighbors == knn_oracle(m, item, 4)
+
+
+@st.composite
+def usage_logs(draw):
+    """Small binary matrices, with the cases the kernel must not mishandle."""
+    n_users = draw(st.integers(1, 9))
+    n_items = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.booleans(), min_size=n_users * n_items,
+                          max_size=n_users * n_items))
+    pairs = [(f"u{u}", f"i{i:02d}") for u in range(n_users)
+             for i in range(n_items) if cells[u * n_items + i]]
+    if draw(st.booleans()):  # rated by every user: its tables have k22 = 0
+        pairs += [(f"u{u}", "every") for u in range(n_users)]
+    if draw(st.booleans()):  # identical rater sets: their scores all tie
+        raters = draw(st.sets(st.integers(0, n_users - 1), min_size=1))
+        pairs += [(f"u{u}", f"twin{t}") for t in range(draw(st.integers(2, 4)))
+                  for u in sorted(raters)]
+    if draw(st.booleans()):  # an item with no co-rater
+        pairs += [("loner", "solo")]
+    return pairs
+
+
+@given(usage_logs(), st.integers(1, 5), st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+@settings(max_examples=60, deadline=None)
+def test_kernel_equals_oracle_bit_for_bit(pairs, k, tau):
+    m = UsageMatrix(pairs)
+    want_knn = {e: knn_oracle(m, e, k) for e in m.items}
+    want_tau = {e: threshold_oracle(m, e, tau) for e in m.items}
+    for block_size, workers in product((1, 7, 256), (1, 3)):
+        knn = all_pairs_knn(m, k, workers=workers, block_size=block_size)
+        above = all_pairs_knn(m, k, workers=workers, block_size=block_size,
+                              tau=tau)
+        assert {e: nl.neighbors for e, nl in knn.items()} == want_knn
+        assert {e: nl.neighbors for e, nl in above.items()} == want_tau
+    for e in m.items:
+        assert k_nearest_neighbors(m, e, k).neighbors == want_knn[e]
+        assert neighbors_above_threshold(m, e, tau).neighbors == want_tau[e]
+
+
+def test_kernel_on_empty_matrix_is_empty():
+    m = UsageMatrix([])
+    assert all_pairs_knn(m, 3) == {}
+    assert all_pairs_knn(m, 3, tau=0.5) == {}
+
+
+def test_kernel_matches_per_table_score_at_large_user_counts():
+    # |U| = 9,170 is the smallest count for which numpy's vectorized log
+    # and math.log disagree on some CPUs: x ln x must come from the
+    # scalar log that log_likelihood_ratio uses.
+    pairs = [(f"u{u:05d}", "pad") for u in range(9_170)]
+    pairs += [(f"u{u:05d}", "a") for u in range(100)]
+    pairs += [(f"u{u:05d}", "b") for u in range(50, 150)]
+    pairs += [(f"u{u:05d}", "c") for u in range(120, 9_170)]
+    m = UsageMatrix(pairs)
+    table = all_pairs_knn(m, 3)
+    above = all_pairs_knn(m, 3, tau=0.0)
+    for e in m.items:
+        assert table[e].neighbors == knn_oracle(m, e, 3)
+        assert above[e].neighbors == threshold_oracle(m, e, 0.0)
 
 
 def test_neighbors_tsv_format():
