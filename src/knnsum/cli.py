@@ -22,7 +22,7 @@ from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
 # pass (perfbench/spans.py) can wrap it by name in this module.
 from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
-                        Summary, entity_universe, summarize)
+                        Summary, SummaryContext, reverse_links, summarize)
 from .usage import RatingsFormat, UsageMatrix, ingest_ratings
 
 DEFAULT_TYPE_FILTER = "http://rdf.freebase.com/ns/film.film"
@@ -171,6 +171,33 @@ def bundle_neighbor_lists(bundle: dict) -> dict[str, NeighborList]:
             for center, pairs in bundle["neighbors"].items()}
 
 
+def _load_bundle(cfg: PipelineConfig) -> dict:
+    """The bundle at cfg.bundle; a file that is no bundle is an input error."""
+    try:
+        bundle = read_bundle(cfg.bundle)
+    except OSError as exc:
+        raise _InputError(f"cannot read bundle {cfg.bundle!r}: {exc}")
+    except ValueError as exc:  # truncated, not JSON, not UTF-8
+        raise _InputError(f"bundle {cfg.bundle!r} is not valid JSON: {exc}")
+    if not isinstance(bundle, dict) or not isinstance(
+            bundle.get("neighbors"), dict):
+        raise _InputError(f"bundle {cfg.bundle!r} has no neighbor lists")
+    return bundle
+
+
+def _check_bundle_parameters(bundle: dict, cfg: PipelineConfig) -> None:
+    """Refuse a bundle built with other neighborhood parameters."""
+    wanted = [("mode", cfg.mode)]
+    wanted += ([("k", cfg.k)] if cfg.mode == FIXED_K
+               else [("threshold", cfg.threshold)])
+    for name, value in wanted:
+        if bundle.get(name) != value:
+            raise _InputError(
+                f"bundle {cfg.bundle!r} was built with {name} = "
+                f"{bundle.get(name)!r}, but the config has {name} = "
+                f"{value!r}; rebuild the bundle")
+
+
 # -- rendering ----------------------------------------------------------------
 
 def _render_feature_terms(wf) -> tuple[str, str]:
@@ -266,12 +293,7 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
 
 
 def cmd_neighbors(cfg: PipelineConfig, target: str, out: IO[str]) -> int:
-    try:
-        bundle = read_bundle(cfg.bundle)
-    except OSError as exc:
-        print(f"error: cannot read bundle {cfg.bundle!r}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    neighbors = bundle["neighbors"]
+    neighbors = _load_bundle(cfg)["neighbors"]
     item_id = target
     if item_id not in neighbors:
         # maybe an entity iri: resolve back through the link map
@@ -279,12 +301,10 @@ def cmd_neighbors(cfg: PipelineConfig, target: str, out: IO[str]) -> int:
             links = load_links(cfg.links)
         except OSError:
             links = {}
-        candidates = sorted(i for i, t in links.items()
-                            if t == target and i in neighbors)
-        if not candidates:
+        item_id = reverse_links(links, neighbors).get(target)
+        if item_id is None:
             print(f"error: unknown item or entity: {target!r}", file=sys.stderr)
             return EXIT_RESOLUTION
-        item_id = candidates[0]
     nl = NeighborList(item_id, [(i, s) for i, s in neighbors[item_id]])
     out.write(format_neighbors_tsv(nl))
     return EXIT_OK
@@ -292,31 +312,26 @@ def cmd_neighbors(cfg: PipelineConfig, target: str, out: IO[str]) -> int:
 
 def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                   all_entities: bool, out: IO[str]) -> int:
-    try:
-        ingest, store, _diags, links = _load_inputs(cfg)
-        bundle = read_bundle(cfg.bundle)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: cannot read bundle {cfg.bundle!r}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    bundle = _load_bundle(cfg)
+    _check_bundle_parameters(bundle, cfg)
+    _, store, _diags, links = _load_inputs(cfg, need_ratings=False)
+    lists = bundle_neighbor_lists(bundle)
     knn_predicate = iri(cfg.knn_predicate)
     type_filter = iri(cfg.type_filter)
-    store.materialize_knn(bundle_neighbor_lists(bundle), links, knn_predicate)
+    context = SummaryContext(store, lists, links, knn_predicate, type_filter)
     if all_entities:
-        universe = entity_universe(store, type_filter)
-        targets = [t.lexical for t in sorted(universe, key=lambda t: t.lexical)]
+        targets = [t.lexical
+                   for t in sorted(context.universe, key=lambda t: t.lexical)]
     render = (render_summary_tsv if cfg.format == "tsv"
               else render_summary_structured)
     failures = 0
     for idx, target in enumerate(targets):
         try:
             summary = summarize(
-                store, ingest.matrix, links, target,
+                store, lists, links, target,
                 knn_predicate=knn_predicate, type_filter=type_filter,
                 k=cfg.k, n=cfg.n, mode=cfg.mode, tau=cfg.threshold,
-                two_hop=cfg.two_hop)
+                two_hop=cfg.two_hop, context=context)
         except ResolutionError as exc:
             print(f"error: {target}: {exc}", file=sys.stderr)
             failures += 1

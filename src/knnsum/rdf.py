@@ -1,15 +1,18 @@
 """In-memory indexed triple store with N-Triples ingestion.
 
 Identity is lexical: no IRI normalization, case-sensitive throughout.
-Three access paths (subject, predicate-object, object) plus an rdf:type
-index back the one-hop and two-hop shared-feature queries.
+Two access paths (subject, predicate-object) plus an rdf:type index back
+the one-hop and two-hop shared-feature queries.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from .similarity import NeighborList
 
 IRI = "iri"
 LITERAL = "literal"
@@ -98,14 +101,13 @@ class MaterializeResult:
 
 
 class TripleStore:
-    """Set of triples with subject, predicate-object and object indexes."""
+    """Set of triples with subject and predicate-object indexes."""
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
         self._spo: dict[Term, dict[Term, set[Term]]] = {}
         self._pos: dict[tuple[Term, Term], set[Term]] = {}
-        self._osp: dict[Term, dict[Term, set[Term]]] = {}
         self._types: dict[Term, set[Term]] = {}
+        self._size = 0
         for t in triples:
             self.add(t)
 
@@ -115,29 +117,33 @@ class TripleStore:
             raise ValueError(f"predicate must be an IRI: {t.predicate}")
         if t.subject.kind == LITERAL:
             raise ValueError("literal subjects are not allowed")
-        if t in self._triples:
+        objects = self._spo.setdefault(t.subject, {}).setdefault(t.predicate,
+                                                                 set())
+        if t.object in objects:
             return False
-        self._triples.add(t)
-        self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
+        objects.add(t.object)
+        self._size += 1
         self._pos.setdefault((t.predicate, t.object), set()).add(t.subject)
-        self._osp.setdefault(t.object, {}).setdefault(t.predicate, set()).add(t.subject)
         if t.predicate == RDF_TYPE:
             self._types.setdefault(t.object, set()).add(t.subject)
         return True
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self):
-        return iter(self._triples)
+        for s, by_predicate in self._spo.items():
+            for p, objects in by_predicate.items():
+                for o in objects:
+                    yield Triple(s, p, o)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
-        return self._triples == other._triples
+        return self._spo == other._spo
 
     def has_subject(self, s: Term) -> bool:
         return s in self._spo
@@ -175,8 +181,21 @@ class TripleStore:
             subjects &= self._types.get(type_filter, set())
         return subjects
 
-    def _typed_knn_neighbors(self, e: Term, knn_predicate: Term,
-                             type_filter: Term) -> set[Term]:
+    def global_support(self, f: Feature | PathFeature,
+                       universe: set[Term]) -> int:
+        """How many entities of the universe hold f: a property-value pair,
+        or a two-hop path through any intermediate node."""
+        if isinstance(f, Feature):
+            return len(universe.intersection(
+                self._pos.get((f.property, f.value), ())))
+        holders: set[Term] = set()
+        for mid in self._pos.get((f.second, f.terminal), ()):
+            holders.update(self._pos.get((f.first, mid), ()))
+        return len(universe.intersection(holders))
+
+    def knn_neighbors(self, e: Term, knn_predicate: Term,
+                      type_filter: Term) -> set[Term]:
+        """The typed entities e links to by knn edges, e itself excluded."""
         typed = self._types.get(type_filter, set())
         return {s for s in self.objects_of(e, knn_predicate)
                 if s != e and s in typed}
@@ -198,32 +217,37 @@ class TripleStore:
         """Features of e shared with its typed knn neighbors, with witnesses."""
         if not self.has_subject(e):
             raise UnknownEntityError(f"entity not in store: {e.lexical}")
-        neighbors = self._typed_knn_neighbors(e, knn_predicate, type_filter)
+        neighbors = self.knn_neighbors(e, knn_predicate, type_filter)
         return self.shared_features(e, neighbors, (knn_predicate,))
 
     def two_hop_paths(self, s: Term,
-                      excluded_first: Iterable[Term] = ()) -> set[PathFeature]:
-        """All (p, q, t) with s -p-> o -q-> t for some intermediate o."""
-        excluded = set(excluded_first)
+                      excluded_predicates: Iterable[Term] = ()
+                      ) -> set[PathFeature]:
+        """All (p, q, t) with s -p-> o -q-> t for some intermediate o,
+        where neither p nor q is an excluded predicate."""
+        excluded = set(excluded_predicates)
         out: set[PathFeature] = set()
         for p, objects in self._spo.get(s, {}).items():
             if p in excluded:
                 continue
             for o in objects:
                 for q, terminals in self._spo.get(o, {}).items():
+                    if q in excluded:
+                        continue
                     for t in terminals:
                         out.add(PathFeature(p, q, t))
         return out
 
     def shared_two_hop_paths(self, e: Term, neighbors: Iterable[Term],
-                             excluded_first: Iterable[Term] = ()
+                             excluded_predicates: Iterable[Term] = ()
                              ) -> dict[PathFeature, set[Term]]:
         """Two-hop composites of e matched by any neighbor's own two-hop path.
 
         Only (p, q, t) must agree; the intermediate nodes are free on both
-        sides and are never required to coincide.
+        sides and are never required to coincide. Neither hop may use an
+        excluded predicate.
         """
-        own = self.two_hop_paths(e, excluded_first)
+        own = self.two_hop_paths(e, excluded_predicates)
         by_first: dict[Term, set[tuple[Term, Term]]] = {}
         for pf in own:
             by_first.setdefault(pf.first, set()).add((pf.second, pf.terminal))
@@ -245,12 +269,12 @@ class TripleStore:
                                 ) -> dict[PathFeature, set[Term]]:
         if not self.has_subject(e):
             raise UnknownEntityError(f"entity not in store: {e.lexical}")
-        neighbors = self._typed_knn_neighbors(e, knn_predicate, type_filter)
+        neighbors = self.knn_neighbors(e, knn_predicate, type_filter)
         return self.shared_two_hop_paths(e, neighbors, (knn_predicate,))
 
     # -- knn materialization ----------------------------------------------
 
-    def materialize_knn(self, lists: Mapping[str, "NeighborListLike"],
+    def materialize_knn(self, lists: Mapping[str, NeighborList],
                         link: Mapping[str, str],
                         predicate: Term) -> MaterializeResult:
         """Insert (center, predicate, neighbor) edges resolved via the link map.
@@ -283,10 +307,6 @@ class TripleStore:
             return None
         term = iri(target)
         return term if self.has_subject(term) else None
-
-
-# Protocol-ish duck type: anything with .neighbors as (id, score) pairs.
-NeighborListLike = object
 
 
 # -- N-Triples parsing / serialization -------------------------------------

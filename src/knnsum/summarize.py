@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .rdf import (Feature, PathFeature, Term, TripleStore, iri, term_key)
 from .similarity import (DEFAULT_K, NeighborList, k_nearest_neighbors,
@@ -61,16 +61,55 @@ def _feature_sort_key(wf: WeightedFeature) -> tuple:
             tuple(term_key(t) for t in wf.feature))
 
 
-def _weigh(witnesses: Mapping[Feature | PathFeature, set[Term]],
-           global_support: Mapping[Feature | PathFeature, int],
-           universe_size: int) -> list[WeightedFeature]:
-    out = []
-    for f, ws in witnesses.items():
-        a = len(ws)
-        b = global_support[f]
-        out.append(WeightedFeature(f, a, b, a * math.log(universe_size / b)))
-    out.sort(key=_feature_sort_key)
-    return out
+class FeatureWeigher:
+    """Weighs the features an entity shares with its neighbor entities.
+
+    Every summary and feature weighting goes through weigh(). Each
+    feature's global support |B| within the universe is counted once per
+    weigher, on first use.
+    """
+
+    def __init__(self, store: TripleStore, universe: set[Term],
+                 knn_predicate: Term):
+        self.store = store
+        self.universe = universe
+        self.knn_predicate = knn_predicate
+        self._support: dict[Feature | PathFeature, int] = {}
+
+    def support(self, f: Feature | PathFeature) -> int:
+        b = self._support.get(f)
+        if b is None:
+            b = self._support[f] = self.store.global_support(f, self.universe)
+        return b
+
+    def weigh(self, e: Term, neighbors: set[Term],
+              two_hop: bool = False) -> list[WeightedFeature]:
+        """Weighted features of e shared with at least one neighbor, sorted
+        by descending weight (ties: descending support, ascending feature).
+        knn edges are never a feature, at either hop."""
+        excluded = (self.knn_predicate,)
+        if two_hop:
+            witnesses = self.store.shared_two_hop_paths(e, neighbors, excluded)
+        else:
+            witnesses = self.store.shared_features(e, neighbors, excluded)
+        size = len(self.universe)
+        out = []
+        for f, ws in witnesses.items():
+            a = len(ws)
+            b = self.support(f)
+            out.append(WeightedFeature(f, a, b, a * math.log(size / b)))
+        out.sort(key=_feature_sort_key)
+        return out
+
+
+def _knn_edge_weights(store: TripleStore, e: Term, universe: set[Term],
+                      knn_predicate: Term, type_filter: Term,
+                      two_hop: bool) -> list[WeightedFeature]:
+    if e not in universe:
+        raise EntityNotInUniverseError(f"entity not in universe: {e.lexical}")
+    neighbors = store.knn_neighbors(e, knn_predicate, type_filter)
+    return FeatureWeigher(store, universe, knn_predicate).weigh(
+        e, neighbors, two_hop)
 
 
 def feature_weights(store: TripleStore, e: Term, universe: set[Term],
@@ -78,102 +117,121 @@ def feature_weights(store: TripleStore, e: Term, universe: set[Term],
                     ) -> list[WeightedFeature]:
     """Weighted features of e from its materialized knn edges, sorted
     by descending weight (ties: descending support, ascending feature)."""
-    if e not in universe:
-        raise EntityNotInUniverseError(f"entity not in universe: {e.lexical}")
-    witnesses = store.shared_one_hop_features(e, knn_predicate, type_filter)
-    support = {f: len(store.entities_with_feature(f, type_filter))
-               for f in witnesses}
-    return _weigh(witnesses, support, len(universe))
-
-
-def _path_holders(store: TripleStore, pf: PathFeature,
-                  universe: set[Term]) -> set[Term]:
-    holders: set[Term] = set()
-    for mid in store.subjects_with(pf.second, pf.terminal):
-        holders |= store.subjects_with(pf.first, mid)
-    return holders & universe
+    return _knn_edge_weights(store, e, universe, knn_predicate, type_filter,
+                             two_hop=False)
 
 
 def path_feature_weights(store: TripleStore, e: Term, universe: set[Term],
                          knn_predicate: Term, type_filter: Term
                          ) -> list[WeightedFeature]:
     """Two-hop analog of feature_weights over (p, q, t) composites."""
-    if e not in universe:
-        raise EntityNotInUniverseError(f"entity not in universe: {e.lexical}")
-    witnesses = store.shared_two_hop_features(e, knn_predicate, type_filter)
-    support = {pf: len(_path_holders(store, pf, universe)) for pf in witnesses}
-    return _weigh(witnesses, support, len(universe))
+    return _knn_edge_weights(store, e, universe, knn_predicate, type_filter,
+                             two_hop=True)
 
 
-def _resolve_target(e: str, link: Mapping[str, str], matrix: UsageMatrix,
-                    store: TripleStore) -> tuple[str | None, Term]:
-    """Map an item id or entity IRI onto (item id in matrix, entity term)."""
+# Where a target's neighbor list comes from: the usage matrix (each list
+# computed by the G2 kernel) or precomputed lists by item id, such as a
+# bundle's. Either way its items are exactly the items with usage data.
+NeighborSource = UsageMatrix | Mapping[str, NeighborList]
+
+
+def _usage_items(source: NeighborSource) -> Collection[str]:
+    return source.items if isinstance(source, UsageMatrix) else source
+
+
+def reverse_links(link: Mapping[str, str],
+                  items: Collection[str]) -> dict[str, str]:
+    """Entity IRI -> the smallest item among items that links to it."""
+    out: dict[str, str] = {}
+    for item, target in link.items():
+        if item in items and (target not in out or item < out[target]):
+            out[target] = item
+    return out
+
+
+class SummaryContext:
+    """What every summary over one store, link map and neighbor source
+    shares, built once: the typed universe, the items with usage data,
+    the reverse link index and (in the weigher) each feature's global
+    support."""
+
+    def __init__(self, store: TripleStore, source: NeighborSource,
+                 link: Mapping[str, str], knn_predicate: Term,
+                 type_filter: Term):
+        self.universe = entity_universe(store, type_filter)
+        self.items = _usage_items(source)
+        self.linked_item = reverse_links(link, self.items)
+        self.weigher = FeatureWeigher(store, self.universe, knn_predicate)
+
+
+def _resolve_target(e: str, link: Mapping[str, str], store: TripleStore,
+                    context: SummaryContext) -> tuple[str | None, Term]:
+    """Map an item id or entity IRI onto (item id with usage data, entity)."""
     if e in link:
         entity = iri(link[e])
         if not store.has_subject(entity):
             raise ResolutionError(
                 f"link map: item {e!r} maps to {link[e]!r}, not in the store")
-        return (e if e in matrix.items else None), entity
+        return (e if e in context.items else None), entity
     entity = iri(e)
     if not store.has_subject(entity):
         raise ResolutionError(f"link map: unknown item id or entity iri: {e!r}")
-    # entity iri given directly: pick its smallest linked item with usage data
-    candidates = sorted(item for item, target in link.items() if target == e)
-    for item in candidates:
-        if item in matrix.items:
-            return item, entity
-    return None, entity
+    # entity iri given directly: its smallest linked item with usage data
+    return context.linked_item.get(e), entity
 
 
-def summarize(store: TripleStore, matrix: UsageMatrix,
+def summarize(store: TripleStore, source: NeighborSource,
               link: Mapping[str, str], e: str, *,
               knn_predicate: Term, type_filter: Term,
               k: int = DEFAULT_K, n: int = DEFAULT_N,
               mode: str = FIXED_K, tau: float | None = None,
-              two_hop: bool = False) -> Summary:
+              two_hop: bool = False,
+              context: SummaryContext | None = None) -> Summary:
     """End-to-end summary: neighborhood, witness collection, weighting,
-    descending sort, truncation to the top n features."""
+    descending sort, truncation to the top n features.
+
+    source is a UsageMatrix, whose lists the G2 kernel computes (k in
+    fixed-k mode, tau in threshold mode), or precomputed neighbor lists by
+    item id, used as they are. A caller summarizing many entities builds
+    one SummaryContext from the same store, source, link map and
+    predicates and passes it to every call.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    item_id, entity = _resolve_target(e, link, matrix, store)
-    universe = entity_universe(store, type_filter)
-    if entity not in universe:
+    if mode not in (FIXED_K, THRESHOLD):
+        raise ValueError(f"unknown mode: {mode!r}")
+    if mode == THRESHOLD and tau is None:
+        raise ValueError("threshold mode requires tau")
+    if context is None:
+        context = SummaryContext(store, source, link, knn_predicate,
+                                 type_filter)
+    item_id, entity = _resolve_target(e, link, store, context)
+    if entity not in context.universe:
         raise ResolutionError(
             f"type filter: entity {entity.lexical!r} lacks rdf:type "
             f"{type_filter.lexical!r}")
     mode_label = mode if mode == FIXED_K else f"{THRESHOLD}({tau:g})"
     if item_id is None:
         return Summary(entity, k, [], STATUS_NO_USAGE, mode_label)
-    if mode == FIXED_K:
-        nl = k_nearest_neighbors(matrix, item_id, k)
-    elif mode == THRESHOLD:
-        if tau is None:
-            raise ValueError("threshold mode requires tau")
-        nl = neighbors_above_threshold(matrix, item_id, tau)
+    if not isinstance(source, UsageMatrix):
+        nl = source[item_id]
+    elif mode == FIXED_K:
+        nl = k_nearest_neighbors(source, item_id, k)
     else:
-        raise ValueError(f"unknown mode: {mode!r}")
-    neighbors = _neighbor_entities(nl, link, store, universe) - {entity}
-    if two_hop:
-        witnesses = store.shared_two_hop_paths(entity, neighbors,
-                                               (knn_predicate,))
-        support = {pf: len(_path_holders(store, pf, universe))
-                   for pf in witnesses}
-    else:
-        witnesses = store.shared_features(entity, neighbors, (knn_predicate,))
-        support = {f: len(store.entities_with_feature(f, type_filter))
-                   for f in witnesses}
-    weighted = _weigh(witnesses, support, len(universe))
+        nl = neighbors_above_threshold(source, item_id, tau)
+    neighbors = _neighbor_entities(nl, link, context.universe) - {entity}
+    weighted = context.weigher.weigh(entity, neighbors, two_hop)
     return Summary(entity, k, weighted[:n], STATUS_OK, mode_label)
 
 
 def _neighbor_entities(nl: NeighborList, link: Mapping[str, str],
-                       store: TripleStore, universe: set[Term]) -> set[Term]:
+                       universe: set[Term]) -> set[Term]:
     out = set()
     for item, _score in nl.neighbors:
         target = link.get(item)
         if target is None:
             continue
         term = iri(target)
-        if term in universe and store.has_subject(term):
+        if term in universe:
             out.add(term)
     return out

@@ -79,19 +79,16 @@ class Incidence:
 class UsageMatrix:
     """Immutable binary user x item incidence.
 
-    Exposes the per-item rater sets and the per-user item sets; membership
-    only, no rating values. Safe for concurrent readers once constructed.
+    Exposes the per-item rater sets; membership only, no rating values.
+    Safe for concurrent readers once constructed.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str]]):
         raters: dict[str, set[str]] = defaultdict(set)
-        items_by_user: dict[str, set[str]] = defaultdict(set)
         for user, item in pairs:
             raters[item].add(user)
-            items_by_user[user].add(item)
         self.raters: dict[str, set[str]] = dict(raters)
-        self.items_by_user: dict[str, set[str]] = dict(items_by_user)
-        self.users: set[str] = set(items_by_user)
+        self.users: set[str] = set().union(*self.raters.values())
         self.items: set[str] = set(raters)
 
     @property

@@ -57,13 +57,17 @@ def brute_contingency(pairs: list[tuple[str, str]], a: str, b: str
 def scored_candidates(m: UsageMatrix, e: str) -> list[tuple[str, float]]:
     """Every item with positive similarity to e, sorted by (-score, id).
 
-    Counts co-raters item by item from the rater and per-user item sets,
+    Counts co-raters item by item from a user -> items index of its own,
     scoring each pair's table with the per-table similarity_score.
     """
     raters = m.raters[e]
+    items_by_user: dict[str, set[str]] = {user: set() for user in raters}
+    for item, users in m.raters.items():
+        for user in users & raters:
+            items_by_user[user].add(item)
     overlap: Counter[str] = Counter()
     for user in raters:
-        overlap.update(m.items_by_user[user])
+        overlap.update(items_by_user[user])
     del overlap[e]
     na = len(raters)
     total = m.total_users
@@ -118,7 +122,7 @@ def brute_two_hop(triples: list[Triple], e: Term, knn: Term,
         if t1.subject != e or t1.predicate == knn:
             continue
         for t2 in triples:
-            if t2.subject != t1.object:
+            if t2.subject != t1.object or t2.predicate == knn:
                 continue
             key = PathFeature(t1.predicate, t2.predicate, t2.object)
             for s in nbrs:

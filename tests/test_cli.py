@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -11,7 +13,8 @@ import pytest
 import knnsum
 
 from conftest import FILM_TYPE, KNN_PRED, film_iri, write_eight_film_corpus
-from knnsum.cli import main
+from knnsum.cli import main, render_summary_structured
+from knnsum.similarity import all_pairs_knn
 from knnsum.rdf import iri
 from knnsum.summarize import summarize
 from knnsum.usage import RatingsFormat, UsageMatrix, ingest_ratings
@@ -245,3 +248,98 @@ def test_module_entry_point_runs_end_to_end(eight_film_corpus):
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "knn triples added: 24" in proc.stdout
+
+
+def test_summarize_reads_no_ratings_file(eight_film_corpus, capsys):
+    build(eight_film_corpus)
+    capsys.readouterr()
+    assert main(["summarize", "--config", str(eight_film_corpus.config),
+                 "m1"]) == 0
+    before = capsys.readouterr().out
+    eight_film_corpus.ratings.unlink()
+    assert main(["summarize", "--config", str(eight_film_corpus.config),
+                 "m1"]) == 0
+    assert capsys.readouterr().out == before
+
+
+@pytest.mark.parametrize("built, asked, field", [
+    ((), ("--k", "5"), "k"),
+    ((), ("--threshold", "0.5"), "mode"),
+    (("--threshold", "0.5"), (), "mode"),
+    (("--threshold", "0.5"), ("--threshold", "0.7"), "threshold"),
+])
+def test_summarize_refuses_bundle_built_with_other_parameters(
+        eight_film_corpus, capsys, built, asked, field):
+    assert build(eight_film_corpus, *built) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--config", str(eight_film_corpus.config),
+                 *asked, "m1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"built with {field} = " in captured.err
+
+
+@pytest.mark.parametrize("command", ["neighbors", "summarize"])
+@pytest.mark.parametrize("damage", ["truncated", "not json", "not utf-8",
+                                    "no neighbors", "not an object"])
+def test_damaged_bundle_is_refused(eight_film_corpus, capsys, command, damage):
+    build(eight_film_corpus)
+    bundle = eight_film_corpus.bundle
+    text = bundle.read_bytes()
+    bundle.write_bytes({
+        "truncated": text[:len(text) // 2],
+        "not json": b"neighbors: m1 m2\n",
+        "not utf-8": b'{"neighbors": {"\xff": []}}',
+        "no neighbors": json.dumps({"k": 20, "mode": "fixed-k"}).encode(),
+        "not an object": b"[1, 2]",
+    }[damage])
+    capsys.readouterr()
+    assert main([command, "--config", str(eight_film_corpus.config),
+                 "m1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bundle {str(bundle)!r}")
+
+
+def test_two_hop_never_follows_knn_edges(eight_film_corpus, capsys):
+    # film -> film edges: a summary that materialized knn edges would see
+    # (sequel, knn, film) paths through the sequel's own neighbors
+    sequel = "http://example.org/p/sequel"
+    with eight_film_corpus.triples.open("a") as fh:
+        for a, b in (("m1", "m2"), ("m3", "m4"), ("m5", "m6")):
+            fh.write(f"<{film_iri(a)}> <{sequel}> <{film_iri(b)}> .\n")
+    build(eight_film_corpus)
+    capsys.readouterr()
+    targets = ["m1", "m3", "m5"]
+    assert main(["summarize", "--config", str(eight_film_corpus.config),
+                 "--two-hop", "--format", "structured", *targets]) == 0
+    out = capsys.readouterr().out
+
+    with eight_film_corpus.ratings.open() as fh:
+        matrix = ingest_ratings(fh, RatingsFormat(rating_col=2)).matrix
+    with eight_film_corpus.triples.open() as fh:
+        store, _ = load_ntriples(fh)
+    links = load_links(str(eight_film_corpus.links))
+    store.materialize_knn(all_pairs_knn(matrix, 20), links, iri(KNN_PRED))
+    summaries = [summarize(store, matrix, links, t, two_hop=True,
+                           knn_predicate=iri(KNN_PRED),
+                           type_filter=iri(FILM_TYPE)) for t in targets]
+    assert out == "\n".join(map(render_summary_structured, summaries))
+    assert f"<{sequel}> <http://example.org/p/genre>" in out
+    assert KNN_PRED not in out
+
+
+def test_traced_patch_points_are_still_bound(monkeypatch):
+    # the benchmark's traced run wraps these attributes by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    # knnsum re-exports the function summarize under its module's name
+    points = spans._patch_points(importlib.import_module("knnsum.cli"),
+                                 importlib.import_module("knnsum.summarize"),
+                                 knnsum.TripleStore)
+    for owner, attr, _name in points:
+        assert attr in vars(owner), (owner, attr)

@@ -3,7 +3,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnsum.similarity import (NeighborList, UndefinedTableError,
@@ -80,14 +80,26 @@ def test_score_closed_form():
     assert similarity_score(T(10, 0, 0, 10)) == pytest.approx(expected, rel=1e-12)
 
 
+# 1 - 1/(1 + G2) maps nearby G2 values onto one double, so in floating
+# point the score is monotone in G2 but not strictly monotone.
+TIED_TABLES = ((2, 2, 82, 0), (0, 2, 82, 2))
+
+
 @given(tables, tables)
+@example(*TIED_TABLES)
 @settings(max_examples=200)
-def test_score_strictly_monotone_in_llr(t1, t2):
+def test_score_monotone_in_llr(t1, t2):
     l1, l2 = log_likelihood_ratio(T(*t1)), log_likelihood_ratio(T(*t2))
     s1, s2 = similarity_score(T(*t1)), similarity_score(T(*t2))
     assert 0.0 <= s1 < 1.0
     if l1 < l2:
-        assert s1 < s2
+        assert s1 <= s2
+
+
+def test_score_ties_at_distinct_llr():
+    t1, t2 = (T(*t) for t in TIED_TABLES)
+    assert log_likelihood_ratio(t1) < log_likelihood_ratio(t2)
+    assert similarity_score(t1) == similarity_score(t2) == 0.9308089992277382
 
 
 # -- neighborhoods ----------------------------------------------------------------

@@ -10,9 +10,9 @@ from knnsum.rdf import (RDF_TYPE, Feature, PathFeature, Triple, TripleStore,
                         iri, literal)
 from knnsum.similarity import all_pairs_knn
 from knnsum.summarize import (EntityNotInUniverseError, ResolutionError,
-                              STATUS_NO_USAGE, STATUS_OK, entity_universe,
-                              feature_weights, path_feature_weights,
-                              summarize)
+                              STATUS_NO_USAGE, STATUS_OK, SummaryContext,
+                              entity_universe, feature_weights,
+                              path_feature_weights, summarize)
 from knnsum.usage import UsageMatrix
 from oracles import FILM, KNN, brute_feature_weights, random_store
 
@@ -216,6 +216,21 @@ def test_summarize_agrees_with_feature_weights_after_materialization():
         assert via_pipeline.features == via_store
         assert all(wf.feature.property != KNN_TERM
                    for wf in via_pipeline.features)
+
+
+def test_summarize_from_neighbor_lists_equals_from_matrix():
+    store, matrix, links = build_world()
+    extra = iri(EX + "film/M9")
+    store.add(Triple(extra, RDF_TYPE, FILM_TERM))
+    links["m9"] = extra.lexical
+    lists = all_pairs_knn(matrix, 20)
+    context = SummaryContext(store, lists, links, KNN_TERM, FILM_TERM)
+    kw = dict(knn_predicate=KNN_TERM, type_filter=FILM_TERM)
+    for e in [*sorted(links), film_iri("m2")]:
+        want = summarize(store, matrix, links, e, **kw)
+        assert summarize(store, lists, links, e, **kw) == want
+        assert summarize(store, lists, links, e, context=context, **kw) == want
+    assert summarize(store, lists, links, "m9", **kw).status == STATUS_NO_USAGE
 
 
 # -- two-hop composites -------------------------------------------------------------
