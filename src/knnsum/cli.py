@@ -8,8 +8,10 @@ error, 2 resolution error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 from typing import IO, Mapping, Sequence
@@ -23,6 +25,7 @@ from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
 from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
                         Summary, SummaryContext, reverse_links, summarize)
+from .textio import NOT_UTF8, open_text, undecodable
 from .usage import RatingsFormat, UsageMatrix, ingest_ratings
 
 DEFAULT_TYPE_FILTER = "http://rdf.freebase.com/ns/film.film"
@@ -113,8 +116,10 @@ def parse_config_file(path: str) -> dict:
 def load_links(path: str) -> dict[str, str]:
     """Static link map: ``item_id <TAB> entity_iri`` per line."""
     links: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if undecodable(raw):
+                raise ValueError(f"{path}:{line_no}: {NOT_UTF8}")
             line = raw.rstrip("\r\n")
             if not line or line.startswith("#"):
                 continue
@@ -126,13 +131,15 @@ def load_links(path: str) -> dict[str, str]:
 
 
 def matrix_digest(matrix: UsageMatrix) -> str:
+    """sha256 of each item, in order, followed by its raters in order."""
+    users = [user.encode() + b"\x01" for user in matrix.users]
+    indptr = matrix.by_item.indptr.tolist()
+    indices = matrix.by_item.indices.tolist()
     h = hashlib.sha256()
-    for item in sorted(matrix.items):
-        h.update(item.encode())
-        h.update(b"\x00")
-        for user in sorted(matrix.raters[item]):
-            h.update(user.encode())
-            h.update(b"\x01")
+    for i, item in enumerate(matrix.items):
+        h.update(item.encode() + b"\x00")
+        h.update(b"".join([users[j]
+                           for j in indices[indptr[i]:indptr[i + 1]]]))
         h.update(b"\n")
     return h.hexdigest()
 
@@ -156,9 +163,21 @@ def write_bundle(path: str, matrix: UsageMatrix,
         "neighbors": {center: [[item, score] for item, score in nl.neighbors]
                       for center, nl in lists.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # A temporary file next to the bundle replaces it only once complete
+    # and on disk, so a failed write or a crash leaves the previous bundle
+    # as it was.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_bundle(path: str) -> dict:
@@ -171,8 +190,24 @@ def bundle_neighbor_lists(bundle: dict) -> dict[str, NeighborList]:
             for center, pairs in bundle["neighbors"].items()}
 
 
+def _is_neighbor_list(center: str, pairs: object) -> bool:
+    """A list of [item, score] pairs as write_bundle writes them: item ids
+    and similarities in [0, 1]."""
+    if type(pairs) is not list or undecodable(center):
+        return False
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            return False
+        item, score = pair
+        if not (type(item) is str and not undecodable(item)
+                and type(score) in (float, int) and 0 <= score <= 1):
+            return False
+    return True
+
+
 def _load_bundle(cfg: PipelineConfig) -> dict:
-    """The bundle at cfg.bundle; a file that is no bundle is an input error."""
+    """The bundle at cfg.bundle; a file that is no bundle, or holds a
+    malformed neighbor list, is an input error."""
     try:
         bundle = read_bundle(cfg.bundle)
     except OSError as exc:
@@ -182,6 +217,12 @@ def _load_bundle(cfg: PipelineConfig) -> dict:
     if not isinstance(bundle, dict) or not isinstance(
             bundle.get("neighbors"), dict):
         raise _InputError(f"bundle {cfg.bundle!r} has no neighbor lists")
+    for center, pairs in bundle["neighbors"].items():
+        if not _is_neighbor_list(center, pairs):
+            raise _InputError(
+                f"bundle {cfg.bundle!r} has a malformed neighbor list for "
+                f"{center!r}: expected a list of [item, score] pairs, with "
+                f"scores in [0, 1]")
     return bundle
 
 
@@ -236,22 +277,31 @@ def render_summary_structured(summary: Summary) -> str:
 def _load_inputs(cfg: PipelineConfig, need_ratings: bool = True):
     if need_ratings:
         try:
-            with open(cfg.ratings, encoding="utf-8") as fh:
+            with open_text(cfg.ratings) as fh:
                 ingest = ingest_ratings(fh, cfg.ratings_format())
         except OSError as exc:
             raise _InputError(f"cannot read ratings file {cfg.ratings!r}: {exc}")
     else:
         ingest = None
     try:
-        with open(cfg.triples, encoding="utf-8") as fh:
+        with open_text(cfg.triples) as fh:
             store, triple_diags = load_ntriples(fh)
     except OSError as exc:
         raise _InputError(f"cannot read triples file {cfg.triples!r}: {exc}")
+    return ingest, store, triple_diags, _load_links(cfg, missing_ok=False)
+
+
+def _load_links(cfg: PipelineConfig, missing_ok: bool) -> dict[str, str]:
+    """The link map; a malformed one is an input error, a missing one too
+    unless missing_ok."""
     try:
-        links = load_links(cfg.links)
+        return load_links(cfg.links)
     except OSError as exc:
+        if missing_ok:
+            return {}
         raise _InputError(f"cannot read link map {cfg.links!r}: {exc}")
-    return ingest, store, triple_diags, links
+    except ValueError as exc:
+        raise _InputError(str(exc))
 
 
 class _InputError(Exception):
@@ -264,11 +314,10 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
                           tau=cfg.threshold)
     result = store.materialize_knn(lists, links, iri(cfg.knn_predicate))
-    matched = sum(1 for item in matrix.items
-                  if item in links and store.has_subject(iri(links[item])))
-    unmatched = sorted(item for item in matrix.items
-                       if item not in links
-                       or not store.has_subject(iri(links[item])))
+    unmatched = [item for item in matrix.items
+                 if item not in links
+                 or not store.has_subject(iri(links[item]))]
+    matched = len(matrix.items) - len(unmatched)
     if matched == 0:
         print("error: no usage item could be linked to a store entity",
               file=sys.stderr)
@@ -279,7 +328,11 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
         "unmatched_items": unmatched,
         "skipped_links": result.skipped,
     }
-    write_bundle(cfg.bundle, matrix, lists, cfg, result.added, diagnostics)
+    try:
+        write_bundle(cfg.bundle, matrix, lists, cfg, result.added,
+                     diagnostics)
+    except OSError as exc:
+        raise _InputError(f"cannot write bundle {cfg.bundle!r}: {exc}")
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
     log.write(f"rejected ratings lines: {ingest.rejected_count}\n")
@@ -297,10 +350,7 @@ def cmd_neighbors(cfg: PipelineConfig, target: str, out: IO[str]) -> int:
     item_id = target
     if item_id not in neighbors:
         # maybe an entity iri: resolve back through the link map
-        try:
-            links = load_links(cfg.links)
-        except OSError:
-            links = {}
+        links = _load_links(cfg, missing_ok=True)
         item_id = reverse_links(links, neighbors).get(target)
         if item_id is None:
             print(f"error: unknown item or entity: {target!r}", file=sys.stderr)

@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
+from .textio import NOT_UTF8, undecodable
+
 if TYPE_CHECKING:
     from .similarity import NeighborList
 
@@ -326,6 +328,7 @@ _LITERAL_RE = re.compile(
 )
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 
 
 def _unescape(body: str) -> str:
@@ -348,10 +351,14 @@ def _unescape(body: str) -> str:
             hexdigits = body[i + 2:i + 2 + width]
             if len(hexdigits) != width:
                 raise NTriplesError(f"truncated \\{e} escape")
-            try:
-                out.append(chr(int(hexdigits, 16)))
-            except ValueError:
-                raise NTriplesError(f"bad \\{e} escape: {hexdigits}") from None
+            # int(x, 16) would also take a sign, underscores or spaces
+            if not _HEX_RE.fullmatch(hexdigits):
+                raise NTriplesError(f"bad \\{e} escape: {hexdigits}")
+            code = int(hexdigits, 16)
+            # a surrogate or a number past U+10FFFF is no character
+            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+                raise NTriplesError(f"bad \\{e} escape: {hexdigits}")
+            out.append(chr(code))
             i += 2 + width
         else:
             raise NTriplesError(f"unknown escape \\{e}")
@@ -392,11 +399,15 @@ def parse_ntriples_line(line: str) -> Triple | None:
 
 def load_ntriples(source: IO[str] | Iterable[str]
                   ) -> tuple[TripleStore, list[Diagnostic]]:
-    """Build a store from an N-Triples stream; malformed lines become
-    diagnostics (line number + reason), never a fatal error."""
+    """Build a store from an N-Triples stream; malformed lines, and lines
+    carrying bytes that were not UTF-8 (see textio), become diagnostics
+    (line number + reason), never a fatal error."""
     store = TripleStore()
     diagnostics: list[Diagnostic] = []
     for line_no, line in enumerate(source, start=1):
+        if undecodable(line):
+            diagnostics.append(Diagnostic(line_no, NOT_UTF8))
+            continue
         try:
             t = parse_ntriples_line(line)
         except NTriplesError as exc:

@@ -94,7 +94,7 @@ def _xlx_table(n: int) -> np.ndarray:
 
 
 class _Kernel:
-    """Blocked G2 neighborhoods over the integer-coded usage index.
+    """Blocked G2 neighborhoods over the integer-coded usage matrix.
 
     For a block of center items it takes the sparse co-rater gram block
     and scores only its nonzeros, so pairs with no common rater are never
@@ -105,10 +105,10 @@ class _Kernel:
     """
 
     def __init__(self, m: UsageMatrix):
-        self.inc = m.incidence
+        self.m = m
         self.total = m.total_users
         self.xlx = _xlx_table(self.total)
-        counts = self.inc.counts
+        counts = m.counts
         self.entropy = ((self.xlx[self.total] - self.xlx[counts])
                         - self.xlx[self.total - counts])
 
@@ -119,15 +119,15 @@ class _Kernel:
         Threshold mode (tau set) keeps every score above tau; fixed-k mode
         keeps the k best. Lists are ordered by (-score, item id).
         """
-        inc, xlx, total = self.inc, self.xlx, self.total
-        gram = inc.by_item[start:stop] @ inc.by_user
+        m, xlx, total = self.m, self.xlx, self.total
+        gram = m.by_item[start:stop] @ m.by_user
         rows = np.repeat(np.arange(start, stop), np.diff(gram.indptr))
         cols, k11 = gram.indices, gram.data
         del gram
         # In-place arithmetic bounds the block's temporaries; each float
         # operation is still the one log_likelihood_ratio makes, in order.
-        na = inc.counts[rows]
-        nb = inc.counts[cols]
+        na = m.counts[rows]
+        nb = m.counts[cols]
         k22 = total - na - nb + k11
         k12 = np.subtract(na, k11, out=na)
         k21 = np.subtract(nb, k11, out=nb)
@@ -169,7 +169,7 @@ class _Kernel:
             cols, score = cols[top], score[top]
             per_row = np.minimum(per_row, k)
 
-        items = inc.items
+        items = m.items
         pairs = list(zip([items[j] for j in cols.tolist()], score.tolist()))
         bounds = np.concatenate(([0], np.cumsum(per_row))).tolist()
         return [NeighborList(items[start + i], pairs[bounds[i]:bounds[i + 1]])
@@ -177,7 +177,7 @@ class _Kernel:
 
     def one(self, e: str, k: int | None, tau: float | None) -> NeighborList:
         try:
-            i = self.inc.item_index[e]
+            i = self.m.item_index[e]
         except KeyError:
             raise UnknownItemError(f"unknown item id: {e!r}") from None
         return self.block(i, i + 1, k, tau)[0]
@@ -235,7 +235,7 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
         return {}
     kernel = _Kernel(m)
     cap = None if tau is not None else k
-    n_items = len(kernel.inc.items)
+    n_items = len(m.items)
 
     def process_block(start: int) -> list[NeighborList]:
         return kernel.block(start, min(start + block_size, n_items), cap, tau)

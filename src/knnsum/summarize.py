@@ -136,7 +136,8 @@ NeighborSource = UsageMatrix | Mapping[str, NeighborList]
 
 
 def _usage_items(source: NeighborSource) -> Collection[str]:
-    return source.items if isinstance(source, UsageMatrix) else source
+    """The items with usage data, as a collection with O(1) membership."""
+    return source.item_index if isinstance(source, UsageMatrix) else source
 
 
 def reverse_links(link: Mapping[str, str],

@@ -6,13 +6,14 @@ either present or absent, numerical scores are discarded at ingestion.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
+
+from .textio import NOT_UTF8, undecodable
 
 
 class UnknownItemError(KeyError):
@@ -61,71 +62,75 @@ class RejectedLine(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class Incidence:
-    """Integer-coded form of a UsageMatrix.
-
-    Items are numbered in ascending id order, so ascending column index
-    is ascending item id. Both sparse matrices hold 1 per (user, item).
-    """
-
-    items: list[str]
-    item_index: dict[str, int]
-    by_item: sparse.csr_matrix  # items x users
-    by_user: sparse.csr_matrix  # users x items
-    counts: np.ndarray          # raters per item
-
-
 class UsageMatrix:
-    """Immutable binary user x item incidence.
+    """Immutable binary user x item incidence, integer-coded.
 
-    Exposes the per-item rater sets; membership only, no rating values.
-    Safe for concurrent readers once constructed.
+    items and users hold the distinct ids in sorted() order, and row i of
+    by_item (column i of by_user) is items[i], column j is users[j]. Both
+    sparse matrices hold 1 per (user, item) pair, with the indices of each
+    row in ascending order; counts holds the raters per item. Membership
+    only, no rating values. Safe for concurrent readers once constructed.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str]]):
-        raters: dict[str, set[str]] = defaultdict(set)
+        user_code: dict[str, int] = {}
+        item_code: dict[str, int] = {}
+        user_col = array("i")
+        item_row = array("i")
         for user, item in pairs:
-            raters[item].add(user)
-        self.raters: dict[str, set[str]] = dict(raters)
-        self.users: set[str] = set().union(*self.raters.values())
-        self.items: set[str] = set(raters)
+            user_col.append(user_code.setdefault(user, len(user_code)))
+            item_row.append(item_code.setdefault(item, len(item_code)))
+        self.users, user_rank = _sorted_codes(user_code)
+        self.items, item_rank = _sorted_codes(item_code)
+        self.item_index = {item: i for i, item in enumerate(self.items)}
+        # COO -> CSR sorts each row's indices; duplicate pairs sum, then
+        # every stored value is set back to 1
+        self.by_item = sparse.csr_matrix(
+            (np.ones(len(item_row), dtype=np.int32),
+             (item_rank[np.frombuffer(item_row, dtype=np.int32)],
+              user_rank[np.frombuffer(user_col, dtype=np.int32)])),
+            shape=(len(self.items), len(self.users)))
+        del user_col, item_row
+        self.by_item.sum_duplicates()
+        self.by_item.data[:] = 1
+        self.counts = np.diff(self.by_item.indptr).astype(np.int32)
+        self.by_user = self.by_item.T.tocsr()
 
     @property
     def total_users(self) -> int:
         return len(self.users)
 
-    @cached_property
-    def incidence(self) -> Incidence:
-        """The integer-coded sparse index, built on first use."""
-        items = sorted(self.items)
-        user_index = {user: j for j, user in enumerate(sorted(self.users))}
-        counts = np.fromiter((len(self.raters[item]) for item in items),
-                             dtype=np.int32, count=len(items))
-        indptr = np.zeros(len(items) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.fromiter(
-            (user_index[user] for item in items for user in self.raters[item]),
-            dtype=np.int32, count=int(indptr[-1]))
-        by_item = sparse.csr_matrix(
-            (np.ones(len(indices), dtype=np.int32), indices, indptr),
-            shape=(len(items), len(user_index)))
-        return Incidence(items, {item: i for i, item in enumerate(items)},
-                         by_item, by_item.T.tocsr(), counts)
-
-    def raters_of(self, item: str) -> set[str]:
+    def _row(self, item: str) -> np.ndarray:
+        """Column indices of item's raters, ascending."""
         try:
-            return self.raters[item]
+            i = self.item_index[item]
         except KeyError:
             raise UnknownItemError(f"unknown item id: {item!r}") from None
+        return self.by_item.indices[self.by_item.indptr[i]:
+                                    self.by_item.indptr[i + 1]]
+
+    def raters_of(self, item: str) -> set[str]:
+        users = self.users
+        return {users[j] for j in self._row(item).tolist()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UsageMatrix):
             return NotImplemented
-        return self.raters == other.raters and self.users == other.users
+        return (self.items == other.items and self.users == other.users
+                and np.array_equal(self.by_item.indptr, other.by_item.indptr)
+                and np.array_equal(self.by_item.indices,
+                                   other.by_item.indices))
 
     def __repr__(self) -> str:
         return f"UsageMatrix(users={len(self.users)}, items={len(self.items)})"
+
+
+def _sorted_codes(code: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The ids in sorted() order, and the sorted position of each code."""
+    ids = sorted(code)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[[code[i] for i in ids]] = np.arange(len(ids))
+    return ids, rank
 
 
 @dataclass
@@ -143,19 +148,27 @@ def ingest_ratings(source: IO[str] | Iterable[str],
     """Read a delimited ratings stream into a UsageMatrix.
 
     Repeated (user, item) pairs collapse to one. Lines that do not carry
-    every mapped column, or carry an empty user/item id, are skipped and
-    reported as rejected-line diagnostics; they never abort ingestion.
+    every mapped column, carry an empty user/item id, or carry bytes that
+    were not UTF-8 (see textio) are skipped and reported as rejected-line
+    diagnostics; they never abort ingestion.
     """
-    if fmt is None:
-        fmt = RatingsFormat()
-    need = fmt.max_index() + 1
-    pairs: list[tuple[str, str]] = []
     rejected: list[RejectedLine] = []
+    matrix = UsageMatrix(_accepted_pairs(source, fmt or RatingsFormat(),
+                                         rejected))
+    return IngestResult(matrix, rejected)
+
+
+def _accepted_pairs(source: IO[str] | Iterable[str], fmt: RatingsFormat,
+                    rejected: list[RejectedLine]
+                    ) -> Iterator[tuple[str, str]]:
+    need = fmt.max_index() + 1
     for line_no, raw in enumerate(source, start=1):
         if line_no == 1 and fmt.header:
             continue
-        line = raw.rstrip("\r\n")
-        fields = line.split(fmt.delimiter)
+        if undecodable(raw):
+            rejected.append(RejectedLine(line_no, NOT_UTF8))
+            continue
+        fields = raw.rstrip("\r\n").split(fmt.delimiter)
         if len(fields) < need:
             rejected.append(RejectedLine(
                 line_no, f"expected at least {need} columns, got {len(fields)}"))
@@ -165,17 +178,16 @@ def ingest_ratings(source: IO[str] | Iterable[str],
         if not user or not item:
             rejected.append(RejectedLine(line_no, "empty user or item id"))
             continue
-        pairs.append((user, item))
-    return IngestResult(UsageMatrix(pairs), rejected)
+        yield user, item
 
 
 def cooccurrence(m: UsageMatrix, a: str, b: str) -> ContingencyTable:
     """Contingency table of rater counts for a pair of distinct items."""
     if a == b:
         raise InvalidPairError(f"co-occurrence of an item with itself: {a!r}")
-    ra = m.raters_of(a)
-    rb = m.raters_of(b)
-    k11 = len(ra & rb)
+    ra = m._row(a)
+    rb = m._row(b)
+    k11 = len(np.intersect1d(ra, rb, assume_unique=True))
     k12 = len(ra) - k11
     k21 = len(rb) - k11
     k22 = m.total_users - k11 - k12 - k21

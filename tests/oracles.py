@@ -58,11 +58,13 @@ def scored_candidates(m: UsageMatrix, e: str) -> list[tuple[str, float]]:
     """Every item with positive similarity to e, sorted by (-score, id).
 
     Counts co-raters item by item from a user -> items index of its own,
-    scoring each pair's table with the per-table similarity_score.
+    built from each item's rater set, scoring each pair's table with the
+    per-table similarity_score.
     """
-    raters = m.raters[e]
+    sets = {item: m.raters_of(item) for item in m.items}
+    raters = sets[e]
     items_by_user: dict[str, set[str]] = {user: set() for user in raters}
-    for item, users in m.raters.items():
+    for item, users in sets.items():
         for user in users & raters:
             items_by_user[user].add(item)
     overlap: Counter[str] = Counter()
@@ -73,7 +75,7 @@ def scored_candidates(m: UsageMatrix, e: str) -> list[tuple[str, float]]:
     total = m.total_users
     scored = []
     for b, k11 in overlap.items():
-        nb = len(m.raters[b])
+        nb = len(sets[b])
         s = similarity_score(
             ContingencyTable(k11, na - k11, nb - k11, total - na - nb + k11))
         if s > 0.0:

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import importlib.util
 import json
@@ -12,8 +13,9 @@ import pytest
 
 import knnsum
 
-from conftest import FILM_TYPE, KNN_PRED, film_iri, write_eight_film_corpus
-from knnsum.cli import main, render_summary_structured
+from conftest import (FILM_TYPE, KNN_PRED, eight_film_pairs, film_iri,
+                      write_eight_film_corpus)
+from knnsum.cli import main, matrix_digest, render_summary_structured
 from knnsum.similarity import all_pairs_knn
 from knnsum.rdf import iri
 from knnsum.summarize import summarize
@@ -343,3 +345,108 @@ def test_traced_patch_points_are_still_bound(monkeypatch):
                                  knnsum.TripleStore)
     for owner, attr, _name in points:
         assert attr in vars(owner), (owner, attr)
+
+
+EIGHT_FILM_DIGEST = (
+    "24a4277be46416e4b9e1d06d6b10aeabae3ce4ae15011b1974d67526f8f03876")
+
+
+def test_matrix_digest_of_eight_films_is_pinned(eight_film_corpus, capsys):
+    assert matrix_digest(UsageMatrix(eight_film_pairs())) == EIGHT_FILM_DIGEST
+    assert build(eight_film_corpus) == 0
+    bundle = json.loads(eight_film_corpus.bundle.read_text())
+    assert bundle["matrix_digest"] == EIGHT_FILM_DIGEST
+
+
+@pytest.mark.parametrize("command", [
+    ["build"], ["summarize", "m1"], ["neighbors", film_iri("m1")]])
+def test_malformed_link_line_is_refused(eight_film_corpus, capsys, command):
+    assert build(eight_film_corpus) == 0
+    with eight_film_corpus.links.open("a") as fh:
+        fh.write("badline\n")
+    capsys.readouterr()
+    assert main([command[0], "--config", str(eight_film_corpus.config),
+                 *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {eight_film_corpus.links}:9: "
+                            "expected item_id<TAB>iri\n")
+
+
+@pytest.mark.parametrize("command", ["neighbors", "summarize"])
+@pytest.mark.parametrize("entry", [
+    5, "", {}, [["m2"]], [["m2", 0.5, 0.5]], [[7, 0.5]], [["m2", "high"]],
+    [["m2", True]], [["m2", 1e400]], [["m2", -0.5]], ["m2"], ["ab"],
+    [{"m2": 0.5, "x": 1}], [["\ud800", 0.5]]])
+def test_malformed_neighbor_entry_is_refused(eight_film_corpus, capsys,
+                                             command, entry):
+    assert build(eight_film_corpus) == 0
+    bundle = eight_film_corpus.bundle
+    payload = json.loads(bundle.read_text())
+    payload["neighbors"]["m1"] = entry
+    # 1e400 is written as Infinity; a lone surrogate as an escape
+    bundle.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, "--config", str(eight_film_corpus.config),
+                 "m1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: bundle {str(bundle)!r} has a malformed neighbor list for "
+        "'m1'")
+
+
+def test_non_utf8_ratings_and_graph_lines_are_diagnostics(
+        eight_film_corpus, capsys):
+    ratings_line = len(eight_film_corpus.ratings.read_bytes().splitlines()) + 1
+    triple_line = len(eight_film_corpus.triples.read_bytes().splitlines()) + 1
+    with eight_film_corpus.ratings.open("ab") as fh:
+        fh.write(b"u9\tm\xff1\t4.0\n")
+    with eight_film_corpus.triples.open("ab") as fh:
+        fh.write(b"<http://example.org/film/M\xe9> <http://example.org/p/x> "
+                 b"<http://example.org/v> .\n")
+    assert build(eight_film_corpus) == 0
+    out = capsys.readouterr().out
+    assert "rejected ratings lines: 1\n" in out
+    assert "malformed triple lines: 1\n" in out
+    assert "users: 8\n" in out
+    diagnostics = json.loads(eight_film_corpus.bundle.read_text())[
+        "diagnostics"]
+    assert diagnostics["rejected_ratings_lines"] == [
+        [ratings_line, "not valid UTF-8"]]
+    assert diagnostics["malformed_triple_lines"] == [
+        [triple_line, "not valid UTF-8"]]
+
+
+@pytest.mark.parametrize("command", [["build"], ["summarize", "m1"]])
+def test_non_utf8_link_map_is_refused(eight_film_corpus, capsys, command):
+    assert build(eight_film_corpus) == 0
+    with eight_film_corpus.links.open("ab") as fh:
+        fh.write(b"m\xff9\thttp://example.org/film/M9\n")
+    capsys.readouterr()
+    assert main([command[0], "--config", str(eight_film_corpus.config),
+                 *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {eight_film_corpus.links}:9: "
+                            "not valid UTF-8\n")
+
+
+def test_failed_bundle_write_keeps_previous_bundle(eight_film_corpus, capsys,
+                                                   monkeypatch):
+    assert build(eight_film_corpus) == 0
+    before = eight_film_corpus.bundle.read_bytes()
+    files = sorted(os.listdir(eight_film_corpus.root))
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"neighbors": {')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    capsys.readouterr()
+    assert build(eight_film_corpus, "--k", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: cannot write bundle {str(eight_film_corpus.bundle)!r}")
+    assert eight_film_corpus.bundle.read_bytes() == before
+    assert sorted(os.listdir(eight_film_corpus.root)) == files

@@ -186,7 +186,7 @@ def test_all_pairs_equals_pointwise_calls():
     m = UsageMatrix([("u1", "a"), ("u1", "b"), ("u2", "a"), ("u2", "c"),
                      ("u3", "b"), ("u3", "c"), ("u4", "a")])
     table = all_pairs_knn(m, 2)
-    assert set(table) == m.items
+    assert set(table) == set(m.items)
     for item, nl in table.items():
         assert nl.neighbors == knn_oracle(m, item, 2)
         assert k_nearest_neighbors(m, item, 2).neighbors == nl.neighbors

@@ -90,6 +90,26 @@ def test_unicode_escape():
     assert t.object.lexical == "café"
 
 
+@pytest.mark.parametrize("escape", [
+    "\\uD800", "\\uDFFF", "\\U00110000",
+    # int(x, 16) takes these, N-Triples does not
+    "\\u-041", "\\U-0000041", "\\u+041", "\\u0_41", "\\u 041",
+])
+def test_escape_of_no_character_is_diagnostic(escape):
+    store, diags = load(f'<http://x/a> <http://x/p> "x{escape}" .\n'
+                        '<http://x/a> <http://x/p> "\\U0010FFFF" .\n')
+    assert [d.line_no for d in diags] == [1]
+    assert "escape" in diags[0].reason
+    assert [t.object.lexical for t in store] == ["\U0010ffff"]
+
+
+def test_undecodable_line_is_diagnostic():
+    store, diags = load("<http://x/a> <http://x/p> <http://x/\udcff> .\n"
+                        "<http://x/a> <http://x/p> <http://x/\u00e9> .\n")
+    assert diags == [(1, "not valid UTF-8")]
+    assert [t.object.lexical for t in store] == ["http://x/\u00e9"]
+
+
 def test_round_trip_serialization(eight_film_store):
     eight_film_store.add(Triple(A, P, literal('we\tird\n"v"', language="en")))
     eight_film_store.add(Triple(A, P, literal("n", datatype="http://x/dt")))

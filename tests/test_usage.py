@@ -1,7 +1,10 @@
 import io
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knnsum.usage import (ContingencyTable, InvalidPairError, RatingsFormat,
                           UnknownItemError, UsageMatrix, cooccurrence,
@@ -15,17 +18,17 @@ def test_ingest_collapses_duplicate_pairs():
     src = io.StringIO("u1\ta\nu1\tb\nu2\ta\nu2\ta\n")
     result = ingest_ratings(src, NO_HEADER)
     m = result.matrix
-    assert m.users == {"u1", "u2"}
-    assert m.items == {"a", "b"}
-    assert m.raters["a"] == {"u1", "u2"}
-    assert m.raters["b"] == {"u1"}
+    assert m.users == ["u1", "u2"]
+    assert m.items == ["a", "b"]
+    assert m.raters_of("a") == {"u1", "u2"}
+    assert m.raters_of("b") == {"u1"}
     assert result.rejected == []
 
 
 def test_ingest_header_only_stream_is_empty():
     result = ingest_ratings(io.StringIO("userID\tmovieID\n"), RatingsFormat())
     assert result.matrix.total_users == 0
-    assert result.matrix.items == set()
+    assert result.matrix.items == []
 
 
 def test_ingest_rejects_line_missing_item_column():
@@ -41,21 +44,21 @@ def test_ingest_validates_rating_column_presence():
     src = io.StringIO("u1\ta\t5.0\nu2\tb\n")
     result = ingest_ratings(src, fmt)
     # rating value is required on the line but never stored
-    assert result.matrix.items == {"a"}
+    assert result.matrix.items == ["a"]
     assert result.rejected_count == 1
 
 
 def test_ingest_rejects_empty_ids():
     src = io.StringIO("u1\ta\n\tb\nu2\t\n")
     result = ingest_ratings(src, NO_HEADER)
-    assert result.matrix.items == {"a"}
+    assert result.matrix.items == ["a"]
     assert result.rejected_count == 2
 
 
 def test_ingest_comma_delimiter_and_column_mapping():
     fmt = RatingsFormat(delimiter=",", user_col=1, item_col=0, header=False)
     result = ingest_ratings(io.StringIO("a,u1\nb,u1\n"), fmt)
-    assert result.matrix.raters["a"] == {"u1"}
+    assert result.matrix.raters_of("a") == {"u1"}
 
 
 def test_duplicated_log_yields_identical_matrix():
@@ -109,3 +112,31 @@ def test_cooccurrence_matches_brute_force_on_random_logs():
             swapped = cooccurrence(m, b, a)
             assert (got.k11, got.k12, got.k21, got.k22) == \
                    (swapped.k11, swapped.k21, swapped.k12, swapped.k22)
+
+
+# ids where sorted() and a NUL-stripping fixed-width sort disagree
+ids = st.text(alphabet="ab\x00\u00e9", max_size=3)
+
+
+@given(st.lists(st.tuples(ids, ids), max_size=40))
+@example([])
+@example([("u", "a"), ("u", "b"), ("u", "a")])
+@example([("u", "a"), ("u", "a\x00"), ("v\x00", "a")])
+@settings(max_examples=200)
+def test_matrix_matches_raw_pairs(pairs):
+    m = UsageMatrix(pairs)
+    items = sorted({i for _, i in pairs})
+    assert m.items == items
+    assert m.users == sorted({u for u, _ in pairs})
+    assert m.total_users == len(m.users)
+    assert m.item_index == {item: n for n, item in enumerate(items)}
+    want = [{u for u, j in pairs if j == i} for i in items]
+    assert [m.raters_of(i) for i in items] == want
+    assert m.counts.tolist() == [len(r) for r in want]
+    assert m.by_item.shape == (len(m.items), len(m.users))
+    assert np.all(m.by_item.data == 1)
+    assert (m.by_user != m.by_item.T).nnz == 0
+    for i in range(len(items)):
+        row = m.by_item.indices[m.by_item.indptr[i]:m.by_item.indptr[i + 1]]
+        assert row.tolist() == sorted(row.tolist())
+    assert UsageMatrix(reversed(pairs)) == m
