@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import IO, Mapping, Sequence
 
-from .rdf import (DEFAULT_KNN_PREDICATE, Term, TripleStore, iri,
+from .rdf import (DEFAULT_KNN_PREDICATE, Diagnostic, TripleStore, iri,
                   load_ntriples, term_to_ntriples)
 from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
                          format_neighbors_tsv)
@@ -26,7 +26,7 @@ from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
                         Summary, SummaryContext, reverse_links, summarize)
 from .textio import NOT_UTF8, open_text, undecodable
-from .usage import RatingsFormat, UsageMatrix, ingest_ratings
+from .usage import IngestResult, RatingsFormat, UsageMatrix, ingest_ratings
 
 DEFAULT_TYPE_FILTER = "http://rdf.freebase.com/ns/film.film"
 
@@ -58,6 +58,18 @@ class PipelineConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        if not self.delimiter:
+            raise ValueError("delimiter must not be empty")
+        for name in ("user_col", "item_col", "rating_col", "timestamp_col"):
+            col = getattr(self, name)
+            if col is not None and col < 0:
+                raise ValueError(f"{name} must be >= 0, got {col}")
+        if self.user_col == self.item_col:
+            raise ValueError(f"user_col and item_col must differ, both are "
+                             f"{self.user_col}")
+        for name in ("knn_predicate", "type_filter"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be a non-empty IRI")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n < 1:
@@ -274,21 +286,20 @@ def render_summary_structured(summary: Summary) -> str:
 
 # -- commands -----------------------------------------------------------------
 
-def _load_inputs(cfg: PipelineConfig, need_ratings: bool = True):
-    if need_ratings:
-        try:
-            with open_text(cfg.ratings) as fh:
-                ingest = ingest_ratings(fh, cfg.ratings_format())
-        except OSError as exc:
-            raise _InputError(f"cannot read ratings file {cfg.ratings!r}: {exc}")
-    else:
-        ingest = None
+def _load_ratings(cfg: PipelineConfig) -> IngestResult:
+    try:
+        with open_text(cfg.ratings) as fh:
+            return ingest_ratings(fh, cfg.ratings_format())
+    except OSError as exc:
+        raise _InputError(f"cannot read ratings file {cfg.ratings!r}: {exc}")
+
+
+def _load_graph(cfg: PipelineConfig) -> tuple[TripleStore, list[Diagnostic]]:
     try:
         with open_text(cfg.triples) as fh:
-            store, triple_diags = load_ntriples(fh)
+            return load_ntriples(fh)
     except OSError as exc:
         raise _InputError(f"cannot read triples file {cfg.triples!r}: {exc}")
-    return ingest, store, triple_diags, _load_links(cfg, missing_ok=False)
 
 
 def _load_links(cfg: PipelineConfig, missing_ok: bool) -> dict[str, str]:
@@ -309,14 +320,15 @@ class _InputError(Exception):
 
 
 def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
-    ingest, store, triple_diags, links = _load_inputs(cfg)
+    ingest = _load_ratings(cfg)
+    store, triple_diags = _load_graph(cfg)
+    links = _load_links(cfg, missing_ok=False)
     matrix = ingest.matrix
     lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
                           tau=cfg.threshold)
     result = store.materialize_knn(lists, links, iri(cfg.knn_predicate))
     unmatched = [item for item in matrix.items
-                 if item not in links
-                 or not store.has_subject(iri(links[item]))]
+                 if store.linked_entity(item, links) is None]
     matched = len(matrix.items) - len(unmatched)
     if matched == 0:
         print("error: no usage item could be linked to a store entity",
@@ -364,7 +376,8 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                   all_entities: bool, out: IO[str]) -> int:
     bundle = _load_bundle(cfg)
     _check_bundle_parameters(bundle, cfg)
-    _, store, _diags, links = _load_inputs(cfg, need_ratings=False)
+    store, _diags = _load_graph(cfg)
+    links = _load_links(cfg, missing_ok=False)
     lists = bundle_neighbor_lists(bundle)
     knn_predicate = iri(cfg.knn_predicate)
     type_filter = iri(cfg.type_filter)
@@ -380,8 +393,8 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
             summary = summarize(
                 store, lists, links, target,
                 knn_predicate=knn_predicate, type_filter=type_filter,
-                k=cfg.k, n=cfg.n, mode=cfg.mode, tau=cfg.threshold,
-                two_hop=cfg.two_hop, context=context)
+                k=cfg.k, n=cfg.n, tau=cfg.threshold, two_hop=cfg.two_hop,
+                context=context)
         except ResolutionError as exc:
             print(f"error: {target}: {exc}", file=sys.stderr)
             failures += 1
@@ -443,10 +456,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _open_out(cfg: PipelineConfig):
+def _open_out(cfg: PipelineConfig) -> contextlib.AbstractContextManager:
     if cfg.out == "-" or not cfg.out:
-        return sys.stdout, False
-    return open(cfg.out, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(cfg.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write output {cfg.out!r}: {exc}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -474,27 +490,33 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
 
     try:
-        if args.command == "build":
-            return cmd_build(cfg, sys.stdout)
-        if args.command == "neighbors":
-            out, close = _open_out(cfg)
-            try:
-                return cmd_neighbors(cfg, args.target, out)
-            finally:
-                if close:
-                    out.close()
-        if args.command == "summarize":
-            if not args.all and not args.targets:
-                print("error: no entities requested (pass ids or --all)",
-                      file=sys.stderr)
-                return EXIT_INPUT
-            out, close = _open_out(cfg)
-            try:
-                return cmd_summarize(cfg, args.targets, args.all, out)
-            finally:
-                if close:
-                    out.close()
+        code = _run(args, cfg)
+        # flushed here, so that a reader gone early is seen below and not
+        # at interpreter exit
+        sys.stdout.flush()
+        return code
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # stdout's reader has gone (as in `| head`): stop quietly, and send
+        # what is still buffered for stdout to devnull at exit
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
+
+
+def _run(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+    if args.command == "build":
+        return cmd_build(cfg, sys.stdout)
+    if args.command == "neighbors":
+        with _open_out(cfg) as out:
+            return cmd_neighbors(cfg, args.target, out)
+    if args.command == "summarize":
+        if not args.all and not args.targets:
+            print("error: no entities requested (pass ids or --all)",
+                  file=sys.stderr)
+            return EXIT_INPUT
+        with _open_out(cfg) as out:
+            return cmd_summarize(cfg, args.targets, args.all, out)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -1,8 +1,9 @@
 """In-memory indexed triple store with N-Triples ingestion.
 
 Identity is lexical: no IRI normalization, case-sensitive throughout.
-Two access paths (subject, predicate-object) plus an rdf:type index back
-the one-hop and two-hop shared-feature queries.
+Two indexes, subject and predicate-object, back every query; the
+entities of a type are read from the predicate-object index under
+rdf:type.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ if TYPE_CHECKING:
 IRI = "iri"
 LITERAL = "literal"
 BLANK = "blank"
-
-
-class UnknownEntityError(KeyError):
-    """The queried entity appears nowhere as a subject in the store."""
 
 
 class NTriplesError(ValueError):
@@ -108,7 +105,6 @@ class TripleStore:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._spo: dict[Term, dict[Term, set[Term]]] = {}
         self._pos: dict[tuple[Term, Term], set[Term]] = {}
-        self._types: dict[Term, set[Term]] = {}
         self._size = 0
         for t in triples:
             self.add(t)
@@ -126,8 +122,6 @@ class TripleStore:
         objects.add(t.object)
         self._size += 1
         self._pos.setdefault((t.predicate, t.object), set()).add(t.subject)
-        if t.predicate == RDF_TYPE:
-            self._types.setdefault(t.object, set()).add(t.subject)
         return True
 
     def __len__(self) -> int:
@@ -156,11 +150,8 @@ class TripleStore:
     def objects_of(self, s: Term, p: Term) -> set[Term]:
         return set(self._spo.get(s, {}).get(p, ()))
 
-    def predicates_of(self, s: Term) -> dict[Term, set[Term]]:
-        return {p: set(os) for p, os in self._spo.get(s, {}).items()}
-
     def typed(self, type_iri: Term) -> set[Term]:
-        return set(self._types.get(type_iri, ()))
+        return self.subjects_with(RDF_TYPE, type_iri)
 
     # -- query shapes -----------------------------------------------------
 
@@ -175,13 +166,6 @@ class TripleStore:
             for o in objects:
                 out.add(Feature(p, o))
         return out
-
-    def entities_with_feature(self, f: Feature,
-                              type_filter: Term | None = None) -> set[Term]:
-        subjects = self.subjects_with(f.property, f.value)
-        if type_filter is not None:
-            subjects &= self._types.get(type_filter, set())
-        return subjects
 
     def global_support(self, f: Feature | PathFeature,
                        universe: set[Term]) -> int:
@@ -198,7 +182,7 @@ class TripleStore:
     def knn_neighbors(self, e: Term, knn_predicate: Term,
                       type_filter: Term) -> set[Term]:
         """The typed entities e links to by knn edges, e itself excluded."""
-        typed = self._types.get(type_filter, set())
+        typed = self._pos.get((RDF_TYPE, type_filter), ())
         return {s for s in self.objects_of(e, knn_predicate)
                 if s != e and s in typed}
 
@@ -213,14 +197,6 @@ class TripleStore:
             if witnesses:
                 out[f] = witnesses
         return out
-
-    def shared_one_hop_features(self, e: Term, knn_predicate: Term,
-                                type_filter: Term) -> dict[Feature, set[Term]]:
-        """Features of e shared with its typed knn neighbors, with witnesses."""
-        if not self.has_subject(e):
-            raise UnknownEntityError(f"entity not in store: {e.lexical}")
-        neighbors = self.knn_neighbors(e, knn_predicate, type_filter)
-        return self.shared_features(e, neighbors, (knn_predicate,))
 
     def two_hop_paths(self, s: Term,
                       excluded_predicates: Iterable[Term] = ()
@@ -266,14 +242,6 @@ class TripleStore:
                                 out.setdefault(PathFeature(p, q, t), set()).add(s)
         return out
 
-    def shared_two_hop_features(self, e: Term, knn_predicate: Term,
-                                type_filter: Term
-                                ) -> dict[PathFeature, set[Term]]:
-        if not self.has_subject(e):
-            raise UnknownEntityError(f"entity not in store: {e.lexical}")
-        neighbors = self.knn_neighbors(e, knn_predicate, type_filter)
-        return self.shared_two_hop_paths(e, neighbors, (knn_predicate,))
-
     # -- knn materialization ----------------------------------------------
 
     def materialize_knn(self, lists: Mapping[str, NeighborList],
@@ -287,12 +255,12 @@ class TripleStore:
         """
         result = MaterializeResult()
         for center_id in sorted(lists):
-            center = self._resolve(center_id, link)
+            center = self.linked_entity(center_id, link)
             if center is None:
                 result.skipped.append(f"center {center_id}: no resolvable entity")
                 continue
             for neighbor_id, _score in lists[center_id].neighbors:
-                neighbor = self._resolve(neighbor_id, link)
+                neighbor = self.linked_entity(neighbor_id, link)
                 if neighbor is None:
                     result.skipped.append(
                         f"neighbor {neighbor_id} of {center_id}: no resolvable entity")
@@ -303,8 +271,9 @@ class TripleStore:
                     result.added += 1
         return result
 
-    def _resolve(self, item_id: str, link: Mapping[str, str]) -> Term | None:
-        target = link.get(item_id)
+    def linked_entity(self, item: str, link: Mapping[str, str]) -> Term | None:
+        """The entity the link map gives for item, if it is a subject here."""
+        target = link.get(item)
         if target is None:
             return None
         term = iri(target)

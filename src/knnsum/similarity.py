@@ -11,7 +11,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -253,11 +252,3 @@ def format_neighbors_tsv(nl: NeighborList) -> str:
     """TSV rows `center <TAB> neighbor <TAB> score` with 6-decimal scores."""
     return "".join(f"{nl.center}\t{item}\t{score:.6f}\n"
                    for item, score in nl.neighbors)
-
-
-def write_neighbors_tsv(lists: Iterable[NeighborList] | Mapping[str, NeighborList],
-                        out: IO[str]) -> None:
-    if isinstance(lists, Mapping):
-        lists = [lists[center] for center in sorted(lists)]
-    for nl in lists:
-        out.write(format_neighbors_tsv(nl))

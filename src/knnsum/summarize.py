@@ -169,8 +169,8 @@ def _resolve_target(e: str, link: Mapping[str, str], store: TripleStore,
                     context: SummaryContext) -> tuple[str | None, Term]:
     """Map an item id or entity IRI onto (item id with usage data, entity)."""
     if e in link:
-        entity = iri(link[e])
-        if not store.has_subject(entity):
+        entity = store.linked_entity(e, link)
+        if entity is None:
             raise ResolutionError(
                 f"link map: item {e!r} maps to {link[e]!r}, not in the store")
         return (e if e in context.items else None), entity
@@ -185,24 +185,19 @@ def summarize(store: TripleStore, source: NeighborSource,
               link: Mapping[str, str], e: str, *,
               knn_predicate: Term, type_filter: Term,
               k: int = DEFAULT_K, n: int = DEFAULT_N,
-              mode: str = FIXED_K, tau: float | None = None,
-              two_hop: bool = False,
+              tau: float | None = None, two_hop: bool = False,
               context: SummaryContext | None = None) -> Summary:
     """End-to-end summary: neighborhood, witness collection, weighting,
     descending sort, truncation to the top n features.
 
-    source is a UsageMatrix, whose lists the G2 kernel computes (k in
-    fixed-k mode, tau in threshold mode), or precomputed neighbor lists by
-    item id, used as they are. A caller summarizing many entities builds
-    one SummaryContext from the same store, source, link map and
-    predicates and passes it to every call.
+    source is a UsageMatrix, whose lists the G2 kernel computes (the k
+    best without tau, every item scoring above tau with it), or
+    precomputed neighbor lists by item id, used as they are. A caller
+    summarizing many entities builds one SummaryContext from the same
+    store, source, link map and predicates and passes it to every call.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if mode not in (FIXED_K, THRESHOLD):
-        raise ValueError(f"unknown mode: {mode!r}")
-    if mode == THRESHOLD and tau is None:
-        raise ValueError("threshold mode requires tau")
     if context is None:
         context = SummaryContext(store, source, link, knn_predicate,
                                  type_filter)
@@ -211,28 +206,16 @@ def summarize(store: TripleStore, source: NeighborSource,
         raise ResolutionError(
             f"type filter: entity {entity.lexical!r} lacks rdf:type "
             f"{type_filter.lexical!r}")
-    mode_label = mode if mode == FIXED_K else f"{THRESHOLD}({tau:g})"
+    mode = FIXED_K if tau is None else f"{THRESHOLD}({tau:g})"
     if item_id is None:
-        return Summary(entity, k, [], STATUS_NO_USAGE, mode_label)
+        return Summary(entity, k, [], STATUS_NO_USAGE, mode)
     if not isinstance(source, UsageMatrix):
         nl = source[item_id]
-    elif mode == FIXED_K:
+    elif tau is None:
         nl = k_nearest_neighbors(source, item_id, k)
     else:
         nl = neighbors_above_threshold(source, item_id, tau)
-    neighbors = _neighbor_entities(nl, link, context.universe) - {entity}
+    linked = {store.linked_entity(item, link) for item, _score in nl.neighbors}
+    neighbors = (linked & context.universe) - {entity}
     weighted = context.weigher.weigh(entity, neighbors, two_hop)
-    return Summary(entity, k, weighted[:n], STATUS_OK, mode_label)
-
-
-def _neighbor_entities(nl: NeighborList, link: Mapping[str, str],
-                       universe: set[Term]) -> set[Term]:
-    out = set()
-    for item, _score in nl.neighbors:
-        target = link.get(item)
-        if target is None:
-            continue
-        term = iri(target)
-        if term in universe:
-            out.add(term)
-    return out
+    return Summary(entity, k, weighted[:n], STATUS_OK, mode)

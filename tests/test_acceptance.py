@@ -130,7 +130,7 @@ def test_criterion_6_downgrading_universal_features():
     for store, triples in _random_store_cases():
         universe = entity_universe(store, FILM)
         universal = {f for f in store.feature_set(next(iter(universe)), (KNN,))
-                     if store.entities_with_feature(f, FILM) == universe}
+                     if universe <= store.subjects_with(f.property, f.value)}
         for e in universe:
             for wf in feature_weights(store, e, universe, KNN, FILM):
                 if wf.feature in universal:
@@ -169,7 +169,8 @@ def test_criterion_8_two_hop_oracle_equivalence():
         store, triples, _ = random_two_hop_store(rng)
         assert len(triples) <= 200
         for e in sorted(store.typed(FILM), key=lambda t: t.lexical):
-            assert store.shared_two_hop_features(e, KNN, FILM) == \
+            neighbors = store.knn_neighbors(e, KNN, FILM)
+            assert store.shared_two_hop_paths(e, neighbors, (KNN,)) == \
                 brute_two_hop(triples, e, KNN, FILM)
             checked += 1
     elapsed = time.perf_counter() - start

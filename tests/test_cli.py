@@ -166,6 +166,36 @@ def test_invalid_threshold_rejected(eight_film_corpus, capsys):
     assert build(eight_film_corpus, "--threshold", "1.5") == 1
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("build", "delimiter", ""),
+    ("build", "user_col", "-1"),
+    ("build", "item_col", "-1"),
+    ("build", "item_col", "0"),  # the user column
+    ("build", "rating_col", "-1"),
+    ("build", "timestamp_col", "-1"),
+    ("build", "knn_predicate", ""),
+    ("summarize", "knn_predicate", ""),
+    ("summarize", "type_filter", ""),
+])
+@pytest.mark.parametrize("via", ["flag", "config file"])
+def test_invalid_config_value_rejected(eight_film_corpus, capsys, command,
+                                       key, value, via):
+    if command == "summarize":
+        assert build(eight_film_corpus) == 0
+    args = [command, "--config", str(eight_film_corpus.config)]
+    if via == "flag":
+        args += [f"--{key.replace('_', '-')}", value]
+    else:
+        with eight_film_corpus.config.open("a") as fh:
+            fh.write(f"{key} = {value}\n")
+    if command == "summarize":
+        args.append("m1")
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_invalid_workers_rejected(eight_film_corpus, capsys, workers):
     assert build(eight_film_corpus, "--workers", workers) == 1
@@ -220,6 +250,42 @@ def test_out_flag_writes_file(eight_film_corpus, tmp_path, capsys):
     assert target.read_text().startswith("# <")
 
 
+@pytest.mark.parametrize("command", [["neighbors", "m1"], ["summarize", "m1"]])
+def test_unwritable_output_is_refused(eight_film_corpus, capsys, command):
+    build(eight_film_corpus)
+    capsys.readouterr()
+    target = eight_film_corpus.root / "no-such-dir" / "out.txt"
+    assert main([command[0], "--config", str(eight_film_corpus.config),
+                 "--out", str(target), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output ")
+
+
+def _child_env() -> dict[str, str]:
+    """The environment for a knnsum child process that imports the same
+    knnsum as this process, installed or not."""
+    src = str(Path(knnsum.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+@pytest.mark.parametrize("command", [["summarize", "--all", "--two-hop"],
+                                     ["neighbors", "m1"], ["build"]])
+def test_closed_stdout_pipe_exits_quietly(eight_film_corpus, capsys, command):
+    build(eight_film_corpus)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader goes away before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knnsum", command[0],
+             "--config", str(eight_film_corpus.config), *command[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_cli_output_equals_library_summarize(eight_film_corpus, capsys):
     build(eight_film_corpus)
     capsys.readouterr()
@@ -243,11 +309,8 @@ def test_cli_output_equals_library_summarize(eight_film_corpus, capsys):
 def test_module_entry_point_runs_end_to_end(eight_film_corpus):
     cmd = [sys.executable, "-m", "knnsum", "build",
            "--config", str(eight_film_corpus.config)]
-    # the child imports the same knnsum as this process, installed or not
-    src = str(Path(knnsum.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "knn triples added: 24" in proc.stdout
 

@@ -287,13 +287,3 @@ def test_kernel_matches_per_table_score_at_large_user_counts():
 def test_neighbors_tsv_format():
     nl = NeighborList("a", [("b", 0.9651881944582623), ("c", 0.5)])
     assert format_neighbors_tsv(nl) == "a\tb\t0.965188\na\tc\t0.500000\n"
-
-
-def test_write_neighbors_tsv_orders_mapping_by_center():
-    import io
-    from knnsum.similarity import write_neighbors_tsv
-    lists = {"b": NeighborList("b", [("a", 0.25)]),
-             "a": NeighborList("a", [("b", 0.25)])}
-    buf = io.StringIO()
-    write_neighbors_tsv(lists, buf)
-    assert buf.getvalue() == "a\tb\t0.250000\nb\ta\t0.250000\n"

@@ -200,7 +200,9 @@ def test_summarize_entity_without_usage_data():
 
 def test_summarize_threshold_mode_matches_fixed_k_here():
     # all within-cluster scores are equal and far above 0.5
-    assert summ("m1", mode="threshold", tau=0.5).features == summ("m1").features
+    above = summ("m1", tau=0.5)
+    assert above.mode == "threshold(0.5)"
+    assert above.features == summ("m1").features
 
 
 def test_summarize_agrees_with_feature_weights_after_materialization():

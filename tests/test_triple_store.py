@@ -4,9 +4,8 @@ import random
 import pytest
 
 from knnsum.rdf import (RDF_TYPE, Feature, PathFeature, Triple, TripleStore,
-                        UnknownEntityError, blank, iri, literal,
-                        load_ntriples, parse_ntriples_line, term_to_ntriples,
-                        write_ntriples)
+                        blank, iri, literal, load_ntriples,
+                        parse_ntriples_line, term_to_ntriples, write_ntriples)
 from knnsum.similarity import NeighborList
 from oracles import (FILM, KNN, brute_one_hop, brute_two_hop, random_store,
                      random_two_hop_store)
@@ -18,6 +17,17 @@ B = iri("http://x/b")
 
 def load(text):
     return load_ntriples(io.StringIO(text))
+
+
+def shared_one_hop(store, e):
+    """Features of e shared with its typed knn neighbors, with witnesses."""
+    return store.shared_features(e, store.knn_neighbors(e, KNN, FILM), (KNN,))
+
+
+def shared_two_hop(store, e):
+    """Two-hop composites of e matched by its typed knn neighbors."""
+    return store.shared_two_hop_paths(e, store.knn_neighbors(e, KNN, FILM),
+                                      (KNN,))
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -169,10 +179,10 @@ def test_entities_with_feature_and_type_filter():
         Triple(e1, P, B), Triple(e2, P, B), Triple(e3, P, B),
         Triple(e1, RDF_TYPE, film), Triple(e2, RDF_TYPE, film),
     ])
-    f = Feature(P, B)
-    assert store.entities_with_feature(f) == {e1, e2, e3}
-    assert store.entities_with_feature(f, film) == {e1, e2}
-    assert store.entities_with_feature(Feature(P, iri("http://x/nope"))) == set()
+    assert store.subjects_with(P, B) == {e1, e2, e3}
+    assert store.subjects_with(P, B) & store.typed(film) == {e1, e2}
+    assert store.subjects_with(P, iri("http://x/nope")) == set()
+    assert store.typed(iri("http://x/Nothing")) == set()
 
 
 # -- shared one-hop features --------------------------------------------------------
@@ -195,7 +205,7 @@ def one_hop_fixture():
 
 def test_shared_one_hop_witness_sets():
     store, _, e, s1, s2, p1, p2, f1v, f2v = one_hop_fixture()
-    got = store.shared_one_hop_features(e, KNN, FILM)
+    got = shared_one_hop(store, e)
     expected = {
         Feature(p1, f1v): {s1, s2},
         Feature(p2, f2v): {s2},
@@ -206,20 +216,15 @@ def test_shared_one_hop_witness_sets():
 
 def test_shared_one_hop_no_knn_edges():
     store = TripleStore([Triple(A, P, B), Triple(A, RDF_TYPE, FILM)])
-    assert store.shared_one_hop_features(A, KNN, FILM) == {}
+    assert shared_one_hop(store, A) == {}
 
 
 def test_shared_one_hop_untyped_neighbor_excluded():
     store, triples, e, s1, s2, p1, _, f1v, _ = one_hop_fixture()
     bare = TripleStore(t for t in triples
                        if not (t.subject == s1 and t.predicate == RDF_TYPE))
-    got = bare.shared_one_hop_features(e, KNN, FILM)
+    got = shared_one_hop(bare, e)
     assert got[Feature(p1, f1v)] == {s2}
-
-
-def test_shared_one_hop_unknown_entity():
-    with pytest.raises(UnknownEntityError):
-        TripleStore().shared_one_hop_features(A, KNN, FILM)
 
 
 def test_shared_one_hop_matches_brute_force_on_random_stores():
@@ -227,7 +232,7 @@ def test_shared_one_hop_matches_brute_force_on_random_stores():
     for _ in range(40):
         store, triples = random_store(rng, max_entities=20)
         for e in sorted(store.typed(FILM), key=lambda t: t.lexical)[:5]:
-            assert store.shared_one_hop_features(e, KNN, FILM) == \
+            assert shared_one_hop(store, e) == \
                 brute_one_hop(triples, e, KNN, FILM)
 
 
@@ -249,13 +254,13 @@ def two_hop_fixture():
 
 def test_shared_two_hop_actor_behind_intermediate_node():
     store, e, s, perf, actor, nielsen = two_hop_fixture()
-    got = store.shared_two_hop_features(e, KNN, FILM)
+    got = shared_two_hop(store, e)
     assert got == {PathFeature(perf, actor, nielsen): {s}}
 
 
 def test_shared_two_hop_no_paths():
     store = TripleStore([Triple(A, RDF_TYPE, FILM)])
-    assert store.shared_two_hop_features(A, KNN, FILM) == {}
+    assert shared_two_hop(store, A) == {}
 
 
 def test_shared_two_hop_requires_all_three_components():
@@ -268,7 +273,7 @@ def test_shared_two_hop_requires_all_three_components():
         Triple(e, KNN, s),
         Triple(e, RDF_TYPE, FILM), Triple(s, RDF_TYPE, FILM),
     ])
-    assert store.shared_two_hop_features(e, KNN, FILM) == {}
+    assert shared_two_hop(store, e) == {}
 
 
 def test_shared_two_hop_matches_brute_force_on_random_stores():
@@ -276,7 +281,7 @@ def test_shared_two_hop_matches_brute_force_on_random_stores():
     for _ in range(40):
         store, triples, _ = random_two_hop_store(rng)
         for e in sorted(store.typed(FILM), key=lambda t: t.lexical)[:4]:
-            assert store.shared_two_hop_features(e, KNN, FILM) == \
+            assert shared_two_hop(store, e) == \
                 brute_two_hop(triples, e, KNN, FILM)
 
 
@@ -286,6 +291,14 @@ def make_entities(n):
     link = {f"i{j}": f"http://x/e{j}" for j in range(n)}
     triples = [Triple(iri(v), RDF_TYPE, FILM) for v in link.values()]
     return TripleStore(triples), link
+
+
+def test_linked_entity_needs_a_link_to_a_subject():
+    store, link = make_entities(2)
+    link["dangling"] = "http://x/nowhere"
+    assert store.linked_entity("unlinked", link) is None
+    assert store.linked_entity("dangling", link) is None
+    assert store.linked_entity("i1", link) == iri("http://x/e1")
 
 
 def test_materialize_counts_distinct_edges():
