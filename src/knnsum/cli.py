@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import IO, Mapping, Sequence
 
-from .rdf import (DEFAULT_KNN_PREDICATE, Diagnostic, TripleStore, iri,
+from .rdf import (DEFAULT_KNN_PREDICATE, Diagnostic, Triple, TripleStore, iri,
                   load_ntriples, term_to_ntriples)
 from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
                          format_neighbors_tsv)
@@ -112,16 +112,19 @@ def parse_config_file(path: str) -> dict:
             value = value.strip()
             if key not in known:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            if key in _BOOL_KEYS:
-                values[key] = value.lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key == "delimiter":
-                values[key] = value.encode().decode("unicode_escape")
-            else:
-                values[key] = value
+            try:
+                if key in _BOOL_KEYS:
+                    values[key] = value.lower() in ("1", "true", "yes", "on")
+                elif key in _INT_KEYS:
+                    values[key] = int(value)
+                elif key in _FLOAT_KEYS:
+                    values[key] = float(value)
+                elif key == "delimiter":
+                    values[key] = value.encode().decode("unicode_escape")
+                else:
+                    values[key] = value
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 
@@ -326,7 +329,11 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     matrix = ingest.matrix
     lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
                           tau=cfg.threshold)
-    result = store.materialize_knn(lists, links, iri(cfg.knn_predicate))
+    # the knn triples that materialize_knn would add to the store
+    pairs, skipped = store.knn_edges(lists, links)
+    knn = iri(cfg.knn_predicate)
+    knn_added = len({(c, n) for c, n in pairs
+                     if Triple(c, knn, n) not in store})
     unmatched = [item for item in matrix.items
                  if store.linked_entity(item, links) is None]
     matched = len(matrix.items) - len(unmatched)
@@ -338,26 +345,25 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
         "rejected_ratings_lines": [[ln, reason] for ln, reason in ingest.rejected],
         "malformed_triple_lines": [[ln, reason] for ln, reason in triple_diags],
         "unmatched_items": unmatched,
-        "skipped_links": result.skipped,
+        "skipped_links": skipped,
     }
     try:
-        write_bundle(cfg.bundle, matrix, lists, cfg, result.added,
-                     diagnostics)
+        write_bundle(cfg.bundle, matrix, lists, cfg, knn_added, diagnostics)
     except OSError as exc:
         raise _InputError(f"cannot write bundle {cfg.bundle!r}: {exc}")
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
     log.write(f"rejected ratings lines: {ingest.rejected_count}\n")
-    log.write(f"triples loaded: {len(store) - result.added}\n")
+    log.write(f"triples loaded: {len(store)}\n")
     log.write(f"malformed triple lines: {len(triple_diags)}\n")
     log.write(f"linked items: {matched}/{len(matrix.items)}\n")
     log.write(f"unmatched items: {len(unmatched)}\n")
-    log.write(f"knn triples added: {result.added}\n")
+    log.write(f"knn triples added: {knn_added}\n")
     log.write(f"bundle: {cfg.bundle}\n")
     return EXIT_OK
 
 
-def cmd_neighbors(cfg: PipelineConfig, target: str, out: IO[str]) -> int:
+def cmd_neighbors(cfg: PipelineConfig, target: str) -> int:
     neighbors = _load_bundle(cfg)["neighbors"]
     item_id = target
     if item_id not in neighbors:
@@ -368,12 +374,13 @@ def cmd_neighbors(cfg: PipelineConfig, target: str, out: IO[str]) -> int:
             print(f"error: unknown item or entity: {target!r}", file=sys.stderr)
             return EXIT_RESOLUTION
     nl = NeighborList(item_id, [(i, s) for i, s in neighbors[item_id]])
-    out.write(format_neighbors_tsv(nl))
+    with _open_out(cfg) as out:
+        out.write(format_neighbors_tsv(nl))
     return EXIT_OK
 
 
 def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
-                  all_entities: bool, out: IO[str]) -> int:
+                  all_entities: bool) -> int:
     bundle = _load_bundle(cfg)
     _check_bundle_parameters(bundle, cfg)
     store, _diags = _load_graph(cfg)
@@ -388,20 +395,21 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
     render = (render_summary_tsv if cfg.format == "tsv"
               else render_summary_structured)
     failures = 0
-    for idx, target in enumerate(targets):
-        try:
-            summary = summarize(
-                store, lists, links, target,
-                knn_predicate=knn_predicate, type_filter=type_filter,
-                k=cfg.k, n=cfg.n, tau=cfg.threshold, two_hop=cfg.two_hop,
-                context=context)
-        except ResolutionError as exc:
-            print(f"error: {target}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        if idx > 0:
-            out.write("\n")
-        out.write(render(summary))
+    with _open_out(cfg) as out:
+        for idx, target in enumerate(targets):
+            try:
+                summary = summarize(
+                    store, lists, links, target,
+                    knn_predicate=knn_predicate, type_filter=type_filter,
+                    k=cfg.k, n=cfg.n, tau=cfg.threshold, two_hop=cfg.two_hop,
+                    context=context)
+            except ResolutionError as exc:
+                print(f"error: {target}: {exc}", file=sys.stderr)
+                failures += 1
+                continue
+            if idx > 0:
+                out.write("\n")
+            out.write(render(summary))
     return EXIT_RESOLUTION if failures else EXIT_OK
 
 
@@ -457,6 +465,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _open_out(cfg: PipelineConfig) -> contextlib.AbstractContextManager:
+    """The output stream; a file is opened, and so truncated, only when a
+    command has read its inputs and is about to write."""
     if cfg.out == "-" or not cfg.out:
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -510,13 +520,11 @@ def _run(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     if args.command == "build":
         return cmd_build(cfg, sys.stdout)
     if args.command == "neighbors":
-        with _open_out(cfg) as out:
-            return cmd_neighbors(cfg, args.target, out)
+        return cmd_neighbors(cfg, args.target)
     if args.command == "summarize":
         if not args.all and not args.targets:
             print("error: no entities requested (pass ids or --all)",
                   file=sys.stderr)
             return EXIT_INPUT
-        with _open_out(cfg) as out:
-            return cmd_summarize(cfg, args.targets, args.all, out)
+        return cmd_summarize(cfg, args.targets, args.all)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -1,16 +1,19 @@
 """In-memory indexed triple store with N-Triples ingestion.
 
 Identity is lexical: no IRI normalization, case-sensitive throughout.
-Two indexes, subject and predicate-object, back every query; the
+The store interns its terms: each distinct Term gets an int id, and two
+indexes of ids, subject and predicate-object, back every query; the
 entities of a type are read from the predicate-object index under
-rdf:type.
+rdf:type. Every method takes and returns Terms.
 """
 
 from __future__ import annotations
 
+import gc
 import re
-from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from dataclasses import dataclass
+from functools import cache, partial
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .textio import NOT_UTF8, undecodable
 
@@ -84,30 +87,52 @@ def term_key(t: Term) -> tuple[str, str, str, str]:
     return (t.kind, t.lexical, t.language or "", t.datatype or "")
 
 
-def triple_key(t: Triple) -> tuple:
-    return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
-
-
 class Diagnostic(NamedTuple):
     line_no: int
     reason: str
 
 
-@dataclass
-class MaterializeResult:
-    added: int = 0
-    skipped: list[str] = field(default_factory=list)
+class MaterializeResult(NamedTuple):
+    added: int
+    skipped: list[str]
 
 
 class TripleStore:
     """Set of triples with subject and predicate-object indexes."""
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._spo: dict[Term, dict[Term, set[Term]]] = {}
-        self._pos: dict[tuple[Term, Term], set[Term]] = {}
+        self._ids: dict[Term, int] = {}
+        self._terms: list[Term] = []  # by id
+        self._spo: dict[int, dict[int, set[int]]] = {}
+        self._pos: dict[tuple[int, int], set[int]] = {}
         self._size = 0
         for t in triples:
             self.add(t)
+
+    def _intern(self, term: Term) -> int:
+        if term not in self._ids:
+            self._ids[term] = len(self._terms)
+            self._terms.append(term)
+        return self._ids[term]
+
+    def _id(self, term: Term) -> int:
+        """term's id, or -1 (in no index) if the store has never seen it."""
+        return self._ids.get(term, -1)
+
+    def _id_set(self, terms: Iterable[Term]) -> set[int]:
+        return {self._id(t) for t in terms} - {-1}
+
+    def _term_set(self, ids: Iterable[int]) -> set[Term]:
+        return {self._terms[i] for i in ids}
+
+    def _add(self, s: int, p: int, o: int) -> bool:
+        objects = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objects:
+            return False
+        objects.add(o)
+        self._size += 1
+        self._pos.setdefault((p, o), set()).add(s)
+        return True
 
     def add(self, t: Triple) -> bool:
         """Insert a triple; returns False if it was already present."""
@@ -115,105 +140,86 @@ class TripleStore:
             raise ValueError(f"predicate must be an IRI: {t.predicate}")
         if t.subject.kind == LITERAL:
             raise ValueError("literal subjects are not allowed")
-        objects = self._spo.setdefault(t.subject, {}).setdefault(t.predicate,
-                                                                 set())
-        if t.object in objects:
-            return False
-        objects.add(t.object)
-        self._size += 1
-        self._pos.setdefault((t.predicate, t.object), set()).add(t.subject)
-        return True
+        return self._add(*map(self._intern, t))
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self):
-        for s, by_predicate in self._spo.items():
-            for p, objects in by_predicate.items():
-                for o in objects:
-                    yield Triple(s, p, o)
+        t = self._terms
+        return (Triple(t[s], t[p], t[o]) for s, by_p in self._spo.items()
+                for p, objects in by_p.items() for o in objects)
 
     def __contains__(self, t: Triple) -> bool:
-        return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
+        s, p, o = map(self._id, t)
+        return o in self._spo.get(s, {}).get(p, ())
 
     def __eq__(self, other: object) -> bool:
+        # ids depend on insertion order, so compare the triples' terms
         if not isinstance(other, TripleStore):
             return NotImplemented
-        return self._spo == other._spo
+        return len(self) == len(other) and all(t in other for t in self)
 
     def has_subject(self, s: Term) -> bool:
-        return s in self._spo
+        return self._id(s) in self._spo
 
     def subjects_with(self, p: Term, o: Term) -> set[Term]:
-        return set(self._pos.get((p, o), ()))
+        return self._term_set(self._pos.get((self._id(p), self._id(o)), ()))
 
     def objects_of(self, s: Term, p: Term) -> set[Term]:
-        return set(self._spo.get(s, {}).get(p, ()))
+        return self._term_set(
+            self._spo.get(self._id(s), {}).get(self._id(p), ()))
 
     def typed(self, type_iri: Term) -> set[Term]:
         return self.subjects_with(RDF_TYPE, type_iri)
 
-    # -- query shapes -----------------------------------------------------
+    def _features(self, e: int, excluded: set[int]):
+        """(property, value) id pairs of e, minus the excluded predicates."""
+        for p, objects in self._spo.get(e, {}).items():
+            if p not in excluded:
+                for o in objects:
+                    yield p, o
 
     def feature_set(self, e: Term,
                     excluded_predicates: Iterable[Term] = ()) -> set[Feature]:
         """All (property, value) pairs of e, minus the excluded predicates."""
-        excluded = set(excluded_predicates)
-        out: set[Feature] = set()
-        for p, objects in self._spo.get(e, {}).items():
-            if p in excluded:
-                continue
-            for o in objects:
-                out.add(Feature(p, o))
-        return out
+        pairs = self._features(self._id(e), self._id_set(excluded_predicates))
+        return {Feature(self._terms[p], self._terms[o]) for p, o in pairs}
 
-    def global_support(self, f: Feature | PathFeature,
-                       universe: set[Term]) -> int:
-        """How many entities of the universe hold f: a property-value pair,
-        or a two-hop path through any intermediate node."""
-        if isinstance(f, Feature):
-            return len(universe.intersection(
-                self._pos.get((f.property, f.value), ())))
-        holders: set[Term] = set()
-        for mid in self._pos.get((f.second, f.terminal), ()):
-            holders.update(self._pos.get((f.first, mid), ()))
-        return len(universe.intersection(holders))
+    def support_counter(self, universe: Iterable[Term]
+                        ) -> Callable[[Feature | PathFeature], int]:
+        """How many entities of the universe, read once here, hold a
+        feature: a property-value pair, or a two-hop path via any node."""
+        members = self._id_set(universe)
+        pos, id_of = self._pos, self._id
+
+        def global_support(f: Feature | PathFeature) -> int:
+            if isinstance(f, Feature):
+                return len(members.intersection(
+                    pos.get((id_of(f.property), id_of(f.value)), ())))
+            first = id_of(f.first)
+            mids = pos.get((id_of(f.second), id_of(f.terminal)), ())
+            return len(members.intersection(set().union(
+                *(pos.get((first, mid), ()) for mid in mids))))
+        return global_support
 
     def knn_neighbors(self, e: Term, knn_predicate: Term,
                       type_filter: Term) -> set[Term]:
         """The typed entities e links to by knn edges, e itself excluded."""
-        typed = self._pos.get((RDF_TYPE, type_filter), ())
         return {s for s in self.objects_of(e, knn_predicate)
-                if s != e and s in typed}
+                if s != e and Triple(s, RDF_TYPE, type_filter) in self}
 
     def shared_features(self, e: Term, neighbors: Iterable[Term],
                         excluded_predicates: Iterable[Term] = ()
                         ) -> dict[Feature, set[Term]]:
         """Features of e held by at least one of the given neighbors."""
+        terms, pos, nbrs = self._terms, self._pos, self._id_set(neighbors)
         out: dict[Feature, set[Term]] = {}
-        for f in self.feature_set(e, excluded_predicates):
-            holders = self._pos.get((f.property, f.value), set())
-            witnesses = {s for s in neighbors if s in holders}
+        for p, o in self._features(self._id(e),
+                                   self._id_set(excluded_predicates)):
+            witnesses = nbrs.intersection(pos[p, o])
             if witnesses:
-                out[f] = witnesses
-        return out
-
-    def two_hop_paths(self, s: Term,
-                      excluded_predicates: Iterable[Term] = ()
-                      ) -> set[PathFeature]:
-        """All (p, q, t) with s -p-> o -q-> t for some intermediate o,
-        where neither p nor q is an excluded predicate."""
-        excluded = set(excluded_predicates)
-        out: set[PathFeature] = set()
-        for p, objects in self._spo.get(s, {}).items():
-            if p in excluded:
-                continue
-            for o in objects:
-                for q, terminals in self._spo.get(o, {}).items():
-                    if q in excluded:
-                        continue
-                    for t in terminals:
-                        out.add(PathFeature(p, q, t))
+                out[Feature(terms[p], terms[o])] = self._term_set(witnesses)
         return out
 
     def shared_two_hop_paths(self, e: Term, neighbors: Iterable[Term],
@@ -225,113 +231,95 @@ class TripleStore:
         sides and are never required to coincide. Neither hop may use an
         excluded predicate.
         """
-        own = self.two_hop_paths(e, excluded_predicates)
-        by_first: dict[Term, set[tuple[Term, Term]]] = {}
-        for pf in own:
-            by_first.setdefault(pf.first, set()).add((pf.second, pf.terminal))
-        out: dict[PathFeature, set[Term]] = {}
-        for s in neighbors:
-            for p, objects in self._spo.get(s, {}).items():
-                wanted = by_first.get(p)
-                if not wanted:
-                    continue
-                for o in objects:
-                    for q, terminals in self._spo.get(o, {}).items():
-                        for t in terminals:
-                            if (q, t) in wanted:
-                                out.setdefault(PathFeature(p, q, t), set()).add(s)
-        return out
+        excluded = self._id_set(excluded_predicates)
 
-    # -- knn materialization ----------------------------------------------
+        def paths(s: int) -> set[tuple[int, int, int]]:
+            return {(p, q, t) for p, o in self._features(s, excluded)
+                    for q, t in self._features(o, excluded)}
+
+        own = paths(self._id(e))
+        witnesses: dict[tuple[int, int, int], set[int]] = {}
+        for s in self._id_set(neighbors):
+            for path in own.intersection(paths(s)):
+                witnesses.setdefault(path, set()).add(s)
+        terms = self._terms
+        return {PathFeature(terms[p], terms[q], terms[t]): self._term_set(ws)
+                for (p, q, t), ws in witnesses.items()}
+
+    def knn_edges(self, lists: Mapping[str, NeighborList],
+                  link: Mapping[str, str]
+                  ) -> tuple[list[tuple[Term, Term]], list[str]]:
+        """The (center, neighbor) entity pairs of the lists, by linked_entity,
+        and a message per item with no entity. Self-loops, also from two ids
+        of one entity, are dropped; a pair may repeat."""
+        resolve = cache(partial(self.linked_entity, link=link))
+        pairs, skipped = [], []
+        for center_id in sorted(lists):
+            center = resolve(center_id)
+            if center is None:
+                skipped.append(f"center {center_id}: no resolvable entity")
+                continue
+            for neighbor_id, _score in lists[center_id].neighbors:
+                neighbor = resolve(neighbor_id)
+                if neighbor is None:
+                    skipped.append(f"neighbor {neighbor_id} of {center_id}: "
+                                   "no resolvable entity")
+                elif neighbor is not center:  # entities are interned
+                    pairs.append((center, neighbor))
+        return pairs, skipped
 
     def materialize_knn(self, lists: Mapping[str, NeighborList],
                         link: Mapping[str, str],
                         predicate: Term) -> MaterializeResult:
-        """Insert (center, predicate, neighbor) edges resolved via the link map.
-
-        Item ids missing from the link map, or linking to an IRI that is not
-        a subject in the store, are skipped and reported. Self-loops and
-        duplicate-id collapses never produce a triple.
-        """
-        result = MaterializeResult()
-        for center_id in sorted(lists):
-            center = self.linked_entity(center_id, link)
-            if center is None:
-                result.skipped.append(f"center {center_id}: no resolvable entity")
-                continue
-            for neighbor_id, _score in lists[center_id].neighbors:
-                neighbor = self.linked_entity(neighbor_id, link)
-                if neighbor is None:
-                    result.skipped.append(
-                        f"neighbor {neighbor_id} of {center_id}: no resolvable entity")
-                    continue
-                if neighbor == center:
-                    continue
-                if self.add(Triple(center, predicate, neighbor)):
-                    result.added += 1
-        return result
+        """Insert the knn_edges as (center, predicate, neighbor) triples."""
+        pairs, skipped = self.knn_edges(lists, link)
+        return MaterializeResult(
+            sum(self.add(Triple(c, predicate, n)) for c, n in pairs), skipped)
 
     def linked_entity(self, item: str, link: Mapping[str, str]) -> Term | None:
         """The entity the link map gives for item, if it is a subject here."""
         target = link.get(item)
-        if target is None:
-            return None
-        term = iri(target)
-        return term if self.has_subject(term) else None
+        i = -1 if target is None else self._id(iri(target))
+        return self._terms[i] if i in self._spo else None
 
 
 # -- N-Triples parsing / serialization -------------------------------------
 
 _IRI_PAT = r"<[^<>]*>"
 _BNODE_PAT = r"_:[A-Za-z0-9][A-Za-z0-9_.\-]*"
-_LITERAL_PAT = r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^<[^<>]*>)?'
+_LITERAL_PAT = (r'"(?P<body>(?:[^"\\]|\\.)*)"(?:@(?P<lang>[A-Za-z]+'
+                r"(?:-[A-Za-z0-9]+)*)|\^\^<(?P<dt>[^<>]*)>)?")
 
 _LINE_RE = re.compile(
     rf"^(?P<s>{_IRI_PAT}|{_BNODE_PAT})\s+"
     rf"(?P<p>{_IRI_PAT})\s+"
-    rf"(?P<o>{_IRI_PAT}|{_BNODE_PAT}|{_LITERAL_PAT})\s*\.$"
-)
-_LITERAL_RE = re.compile(
-    r'^"(?P<body>(?:[^"\\]|\\.)*)"'
-    r"(?:@(?P<lang>[A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<(?P<dt>[^<>]*)>)?$"
-)
+    rf"(?P<o>{_IRI_PAT}|{_BNODE_PAT}|{_LITERAL_PAT})\s*\.$")
+_LITERAL_RE = re.compile(_LITERAL_PAT)
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+# a backslash, then \u and four characters, \U and eight, or one character
+_ESCAPE_RE = re.compile(r"\\(?:(u)(.{0,4})|(U)(.{0,8})|(.))", re.S)
 _HEX_RE = re.compile(r"[0-9A-Fa-f]+")
 
 
+def _unescape_one(m: re.Match) -> str:
+    if m.group(5) is not None:
+        if m.group(5) not in _ESCAPES:
+            raise NTriplesError(f"unknown escape \\{m.group(5)}")
+        return _ESCAPES[m.group(5)]
+    e, hexdigits = m.group(m.lastindex - 1, m.lastindex)
+    if len(hexdigits) != (4 if e == "u" else 8):
+        raise NTriplesError(f"truncated \\{e} escape")
+    # int(x, 16) would also take a sign, underscores or spaces; and a
+    # surrogate or a number past U+10FFFF is no character
+    code = int(hexdigits, 16) if _HEX_RE.fullmatch(hexdigits) else -1
+    if not (0 <= code < 0xD800 or 0xDFFF < code <= 0x10FFFF):
+        raise NTriplesError(f"bad \\{e} escape: {hexdigits}")
+    return chr(code)
+
+
 def _unescape(body: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= len(body):
-            raise NTriplesError("dangling backslash in literal")
-        e = body[i + 1]
-        if e in _ESCAPES:
-            out.append(_ESCAPES[e])
-            i += 2
-        elif e == "u" or e == "U":
-            width = 4 if e == "u" else 8
-            hexdigits = body[i + 2:i + 2 + width]
-            if len(hexdigits) != width:
-                raise NTriplesError(f"truncated \\{e} escape")
-            # int(x, 16) would also take a sign, underscores or spaces
-            if not _HEX_RE.fullmatch(hexdigits):
-                raise NTriplesError(f"bad \\{e} escape: {hexdigits}")
-            code = int(hexdigits, 16)
-            # a surrogate or a number past U+10FFFF is no character
-            if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
-                raise NTriplesError(f"bad \\{e} escape: {hexdigits}")
-            out.append(chr(code))
-            i += 2 + width
-        else:
-            raise NTriplesError(f"unknown escape \\{e}")
-    return "".join(out)
+    return _ESCAPE_RE.sub(_unescape_one, body) if "\\" in body else body
 
 
 def _escape(value: str) -> str:
@@ -347,62 +335,74 @@ def _parse_term(token: str) -> Term:
         return iri(value)
     if token.startswith("_:"):
         return blank(token[2:])
-    m = _LITERAL_RE.match(token)
-    if m is None:
-        raise NTriplesError(f"malformed literal: {token}")
+    m = _LITERAL_RE.fullmatch(token)  # as the line's pattern matched it
     return literal(_unescape(m.group("body")), m.group("lang"), m.group("dt"))
 
 
 def parse_ntriples_line(line: str) -> Triple | None:
     """Parse one N-Triples line; None for blank lines and comments."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    m = _LINE_RE.match(stripped)
-    if m is None:
-        raise NTriplesError("not a valid N-Triples statement")
-    return Triple(_parse_term(m.group("s")),
-                  _parse_term(m.group("p")),
-                  _parse_term(m.group("o")))
+    store, diagnostics = load_ntriples([line])
+    if diagnostics:
+        raise NTriplesError(diagnostics[0].reason)
+    return next(iter(store), None)
 
 
 def load_ntriples(source: IO[str] | Iterable[str]
                   ) -> tuple[TripleStore, list[Diagnostic]]:
     """Build a store from an N-Triples stream; malformed lines, and lines
     carrying bytes that were not UTF-8 (see textio), become diagnostics
-    (line number + reason), never a fatal error."""
+    (line number + reason), never a fatal error. Each distinct token is
+    parsed once, to its term's id or to the reason it is no term; a line
+    reports its first bad token. "A" and "\\u0041" get one id."""
     store = TripleStore()
     diagnostics: list[Diagnostic] = []
-    for line_no, line in enumerate(source, start=1):
-        if undecodable(line):
-            diagnostics.append(Diagnostic(line_no, NOT_UTF8))
-            continue
+    token_ids: dict[str, int | str] = {}
+
+    def token_id(token: str) -> int | str:
         try:
-            t = parse_ntriples_line(line)
+            return store._intern(_parse_term(token))
         except NTriplesError as exc:
-            diagnostics.append(Diagnostic(line_no, str(exc)))
-            continue
-        if t is not None:
-            store.add(t)
+            return str(exc)
+
+    # The load makes no reference cycles, so cycle collection during it
+    # would only rescan the growing indexes (a quarter of a large load).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for line_no, line in enumerate(source, start=1):
+            stripped = line.strip()
+            if undecodable(line):
+                ids = [NOT_UTF8]
+            elif not stripped or stripped.startswith("#"):
+                continue
+            elif m := _LINE_RE.match(stripped):
+                ids = [token_ids[t] if t in token_ids
+                       else token_ids.setdefault(t, token_id(t))
+                       for t in m.group("s", "p", "o")]
+            else:
+                ids = ["not a valid N-Triples statement"]
+            if str in map(type, ids):
+                reason = next(i for i in ids if type(i) is str)
+                diagnostics.append(Diagnostic(line_no, reason))
+            else:
+                store._add(*ids)
+    finally:
+        if collecting:
+            gc.enable()
     return store, diagnostics
 
 
 def term_to_ntriples(t: Term) -> str:
-    if t.kind == IRI:
-        return f"<{t.lexical}>"
-    if t.kind == BLANK:
-        return f"_:{t.lexical}"
-    body = f'"{_escape(t.lexical)}"'
-    if t.language:
-        return f"{body}@{t.language}"
-    if t.datatype:
-        return f"{body}^^<{t.datatype}>"
-    return body
+    if t.kind != LITERAL:
+        return f"<{t.lexical}>" if t.kind == IRI else f"_:{t.lexical}"
+    suffix = (f"@{t.language}" if t.language
+              else f"^^<{t.datatype}>" if t.datatype else "")
+    return f'"{_escape(t.lexical)}"{suffix}'
 
 
 def write_ntriples(store: TripleStore, out: IO[str]) -> None:
     """Serialize deterministically (sorted by subject, predicate, object)."""
-    for t in sorted(store, key=triple_key):
+    for t in sorted(store, key=lambda t: tuple(map(term_key, t))):
         out.write(f"{term_to_ntriples(t.subject)} "
                   f"{term_to_ntriples(t.predicate)} "
                   f"{term_to_ntriples(t.object)} .\n")

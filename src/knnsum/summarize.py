@@ -74,12 +74,13 @@ class FeatureWeigher:
         self.store = store
         self.universe = universe
         self.knn_predicate = knn_predicate
+        self._global_support = store.support_counter(universe)
         self._support: dict[Feature | PathFeature, int] = {}
 
     def support(self, f: Feature | PathFeature) -> int:
         b = self._support.get(f)
         if b is None:
-            b = self._support[f] = self.store.global_support(f, self.universe)
+            b = self._support[f] = self._global_support(f)
         return b
 
     def weigh(self, e: Term, neighbors: set[Term],

@@ -11,9 +11,11 @@ import math
 import random
 from collections import Counter
 
-from knnsum.rdf import (RDF_TYPE, Feature, PathFeature, Term, Triple,
-                        TripleStore, iri, literal)
+from knnsum.rdf import (_LINE_RE, RDF_TYPE, Diagnostic, Feature,
+                        NTriplesError, PathFeature, Term, Triple, TripleStore,
+                        _parse_term, iri, literal)
 from knnsum.similarity import similarity_score
+from knnsum.textio import NOT_UTF8, undecodable
 from knnsum.usage import ContingencyTable, UsageMatrix
 
 KNN = iri("urn:knnsum:knn")
@@ -91,6 +93,69 @@ def knn_oracle(m: UsageMatrix, e: str, k: int) -> list[tuple[str, float]]:
 def threshold_oracle(m: UsageMatrix, e: str, tau: float
                      ) -> list[tuple[str, float]]:
     return [(b, s) for b, s in scored_candidates(m, e) if s > tau]
+
+
+# -- N-Triples loading ----------------------------------------------------------
+
+_ESCAPED = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
+
+def reference_unescape(body: str) -> str:
+    """Decode a literal body's escapes one character at a time."""
+    out: list[str] = []
+    i = 0
+    while i < len(body):
+        if body[i] != "\\":
+            out.append(body[i])
+            i += 1
+            continue
+        e = body[i + 1]
+        if e in _ESCAPED:
+            out.append(_ESCAPED[e])
+            i += 2
+            continue
+        if e not in "uU":
+            raise NTriplesError(f"unknown escape \\{e}")
+        width = 4 if e == "u" else 8
+        digits = body[i + 2:i + 2 + width]
+        if len(digits) != width:
+            raise NTriplesError(f"truncated \\{e} escape")
+        if any(c not in "0123456789abcdefABCDEF" for c in digits):
+            raise NTriplesError(f"bad \\{e} escape: {digits}")
+        code = int(digits, 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            raise NTriplesError(f"bad \\{e} escape: {digits}")
+        out.append(chr(code))
+        i += 2 + width
+    return "".join(out)
+
+
+def reference_load(lines: list[str]) -> tuple[set[Triple], list[Diagnostic]]:
+    """Load N-Triples line by line into a plain set of Term triples, parsing
+    every token of every line anew: no token cache and no term ids. A line
+    that is not UTF-8, is no statement or holds a bad token is a
+    diagnostic, with the reason of its first bad token in s, p, o order."""
+    triples: set[Triple] = set()
+    diagnostics: list[Diagnostic] = []
+    for line_no, line in enumerate(lines, start=1):
+        if undecodable(line):
+            diagnostics.append(Diagnostic(line_no, NOT_UTF8))
+            continue
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        m = _LINE_RE.match(stripped)
+        if m is None:
+            diagnostics.append(
+                Diagnostic(line_no, "not a valid N-Triples statement"))
+            continue
+        try:
+            terms = [_parse_term(m.group(g)) for g in ("s", "p", "o")]
+        except NTriplesError as exc:
+            diagnostics.append(Diagnostic(line_no, str(exc)))
+            continue
+        triples.add(Triple(*terms))
+    return triples, diagnostics
 
 
 # -- triple scans --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -260,6 +261,38 @@ def test_unwritable_output_is_refused(eight_film_corpus, capsys, command):
     assert capsys.readouterr().err.startswith("error: cannot write output ")
 
 
+@pytest.mark.parametrize("command, target", [
+    ("neighbors", "m1"), ("neighbors", "bogus"), ("summarize", "m1")])
+def test_failed_command_keeps_previous_output(eight_film_corpus, capsys,
+                                              command, target):
+    build(eight_film_corpus)
+    target_out = eight_film_corpus.root / "out.txt"
+    target_out.write_text("previous output\n")
+    if target == "m1":  # fails on its input: the bundle is cut short
+        text = eight_film_corpus.bundle.read_bytes()
+        eight_film_corpus.bundle.write_bytes(text[:len(text) // 2])
+    capsys.readouterr()
+    code = main([command, "--config", str(eight_film_corpus.config),
+                 "--out", str(target_out), target])
+    assert code == (1 if target == "m1" else 2)
+    assert target_out.read_text() == "previous output\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "abc"), ("n", "2.5"), ("workers", ""), ("user_col", "one"),
+    ("threshold", "high"), ("delimiter", "\\x")])
+def test_bad_config_value_names_file_line_and_key(eight_film_corpus, capsys,
+                                                  key, value):
+    config = eight_film_corpus.config
+    line_no = len(config.read_text().splitlines()) + 1
+    with config.open("a") as fh:
+        fh.write(f"{key} = {value}\n")
+    assert build(eight_film_corpus) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:{line_no}: {key}: ")
+    assert err.count("\n") == 1
+
+
 def _child_env() -> dict[str, str]:
     """The environment for a knnsum child process that imports the same
     knnsum as this process, installed or not."""
@@ -419,6 +452,44 @@ def test_matrix_digest_of_eight_films_is_pinned(eight_film_corpus, capsys):
     assert build(eight_film_corpus) == 0
     bundle = json.loads(eight_film_corpus.bundle.read_text())
     assert bundle["matrix_digest"] == EIGHT_FILM_DIGEST
+
+
+# sha256 of each output on the 8-film fixture; build's last line, which
+# names the bundle path, reads "bundle: BUNDLE"
+EIGHT_FILM_OUTPUTS = {
+    "build": (
+        "f47a0f50bae51c746d727acfc3a9c329986da72670045913053d6336590f4188"),
+    "bundle.json": (
+        "eaef7dc3f03b63a3e14c8432e8c4ed7dc3da6c8421a620587153ea0f086b34b2"),
+    "summarize --all": (
+        "8b8975aef752599654ffbafb49d7f2f4c6b9a1a1408b7ef448609d1b7255856c"),
+    "summarize --all --two-hop --format structured": (
+        "a1f3d273e6c9c56efdcffafc4d91729f694ddac8fdf59a40ef4c3211565ce82b"),
+    "neighbors m1": (
+        "a92c7f9086d687f604f9b3381c176431895adc4212b406695171079085c4365f"),
+    "neighbors <m6 iri>": (
+        "7a9d621f41070c3ac938e5e2d661ea576ea696e6f15c7498ef3382ddb3b6af00"),
+}
+
+
+def test_eight_film_outputs_are_pinned(eight_film_corpus, capsys):
+    cfg = ["--config", str(eight_film_corpus.config)]
+
+    def run(*argv):
+        assert main([argv[0], *cfg, *argv[1:]]) == 0
+        return capsys.readouterr().out
+
+    outputs = {"build": run("build").replace(str(eight_film_corpus.bundle),
+                                             "BUNDLE"),
+               "bundle.json": eight_film_corpus.bundle.read_text()}
+    outputs["summarize --all"] = run("summarize", "--all")
+    outputs["summarize --all --two-hop --format structured"] = run(
+        "summarize", "--all", "--two-hop", "--format", "structured")
+    outputs["neighbors m1"] = run("neighbors", "m1")
+    outputs["neighbors <m6 iri>"] = run("neighbors", film_iri("m6"))
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in outputs.items()}
+    assert digests == EIGHT_FILM_OUTPUTS
 
 
 @pytest.mark.parametrize("command", [

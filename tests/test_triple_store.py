@@ -2,13 +2,16 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knnsum.rdf import (RDF_TYPE, Feature, PathFeature, Triple, TripleStore,
-                        blank, iri, literal, load_ntriples,
-                        parse_ntriples_line, term_to_ntriples, write_ntriples)
+from knnsum.rdf import (RDF_TYPE, Feature, NTriplesError, PathFeature,
+                        Triple, TripleStore, _unescape, blank, iri, literal,
+                        load_ntriples, parse_ntriples_line, term_to_ntriples,
+                        write_ntriples)
 from knnsum.similarity import NeighborList
 from oracles import (FILM, KNN, brute_one_hop, brute_two_hop, random_store,
-                     random_two_hop_store)
+                     random_two_hop_store, reference_load, reference_unescape)
 
 A = iri("http://x/a")
 P = iri("http://x/p")
@@ -118,6 +121,100 @@ def test_undecodable_line_is_diagnostic():
                         "<http://x/a> <http://x/p> <http://x/\u00e9> .\n")
     assert diags == [(1, "not valid UTF-8")]
     assert [t.object.lexical for t in store] == ["http://x/\u00e9"]
+
+
+# -- interned loading ---------------------------------------------------------------
+
+# Tokens by position. Each list holds good and bad tokens, and several
+# spellings of one literal: "A", "\u0041" and "\U00000041" are one term.
+SUBJECTS = ["<http://x/a>", "<http://x/b>", "_:b0", "_:b1", "<>", '"lit"']
+PREDICATES = ["<http://x/p>", "<http://x/q>", "<>", "_:b0"]
+OBJECTS = [
+    "<http://x/a>", "<http://x/b>", "_:b1", '"A"', '"\\u0041"',
+    '"\\U00000041"', '"A"@en', '"A"@en-GB', '"A"^^<http://x/dt>', '"t\\tb"',
+    '"café"', '"bad \\q"', '"\\uD800"', '"\\u12"', '"\\u+041"', "<>",
+]
+OTHER_LINES = ["", "   ", "# a comment", "<http://x/a> <http://x/p>",
+               "<http://x/a> <http://x/p> <http://x/b>",
+               "<http://x/\udcff> <http://x/p> <http://x/b> .",
+               "# not UTF-8: \udcfe"]
+
+statements = st.builds(
+    lambda s, p, o, sep, end: f"{s}{sep}{p}{sep}{o}{end}",
+    st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES),
+    st.sampled_from(OBJECTS), st.sampled_from([" ", "\t", "  "]),
+    st.sampled_from([" .", ".", " . ", "\t.", ""]))
+documents = st.lists(
+    st.one_of(statements, st.sampled_from(OTHER_LINES)).map(
+        lambda line: line + "\n"), max_size=40)
+
+
+@given(documents, st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_matches_reference_loader(lines, data):
+    store, diags = load_ntriples(lines)
+    triples, want_diags = reference_load(lines)
+    assert set(store) == triples and len(store) == len(triples)
+    assert diags == want_diags
+    # ids follow the order of first sight; equality must not
+    shuffled = data.draw(st.permutations(lines))
+    assert load_ntriples(shuffled)[0] == store
+
+
+def test_spellings_of_one_literal_are_one_term():
+    store, diags = load(
+        '<http://x/a> <http://x/p> "A" .\n'
+        '<http://x/a> <http://x/p> "\\u0041" .\n'
+        '<http://x/a> <http://x/p> "\\U00000041" .\n')
+    assert not diags
+    assert list(store) == [Triple(A, P, literal("A"))]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_bad_token_is_reported_on_every_line(position):
+    good = ["<http://x/a>", "<http://x/p>", "<http://x/b>"]
+    tokens = list(good)
+    tokens[position] = "<>"
+    bad = " ".join(tokens) + " .\n"
+    _, diags = load(bad + " ".join(good) + " .\n" + bad + bad)
+    assert diags == [(1, "empty IRI"), (3, "empty IRI"), (4, "empty IRI")]
+
+
+def test_first_bad_token_of_a_line_is_reported():
+    _, diags = load('_:b0 <> "\\q" .\n_:b0 <http://x/p> "\\q" .\n')
+    assert diags == [(1, "empty IRI"), (2, "unknown escape \\q")]
+
+
+def test_store_equality_compares_terms():
+    triples = [Triple(A, P, B), Triple(B, P, literal("v", language="en")),
+               Triple(blank("n"), P, A)]
+    assert TripleStore(triples) == TripleStore(reversed(triples))
+    assert TripleStore(triples) != TripleStore(triples[:2])
+    other = triples[:2] + [Triple(blank("n"), P, B)]
+    assert TripleStore(triples) != TripleStore(other)
+
+
+# Literal bodies as the line pattern admits them: any character but a
+# quote, a backslash or a line break, or a backslash and one more.
+plain = st.characters(blacklist_characters='"\\\n\r',
+                      blacklist_categories=("Cs",))
+escape_tails = st.one_of(
+    st.sampled_from('"\\ntrqb'),
+    st.builds(lambda u, d: u + d, st.sampled_from("uU"),
+              st.text("0123456789abcdefABCDEF+-_ xD", max_size=9)))
+bodies = st.lists(st.one_of(plain, escape_tails.map(lambda t: "\\" + t)),
+                  max_size=8).map("".join)
+
+
+@given(bodies)
+@settings(max_examples=500)
+def test_unescape_matches_reference(body):
+    def decoded(unescape):
+        try:
+            return unescape(body)
+        except NTriplesError as exc:
+            return f"error: {exc}"
+    assert decoded(_unescape) == decoded(reference_unescape)
 
 
 def test_round_trip_serialization(eight_film_store):
