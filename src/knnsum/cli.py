@@ -13,8 +13,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import IO, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import IO, Mapping, Sequence, get_args, get_type_hints
 
 from .rdf import (DEFAULT_KNN_PREDICATE, Diagnostic, Triple, TripleStore, iri,
                   load_ntriples, term_to_ntriples)
@@ -28,45 +28,53 @@ from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
 from .textio import NOT_UTF8, open_text, undecodable
 from .usage import IngestResult, RatingsFormat, UsageMatrix, ingest_ratings
 
-DEFAULT_TYPE_FILTER = "http://rdf.freebase.com/ns/film.film"
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RESOLUTION = 2
+FORMATS = ("tsv", "structured")
+
+
+def _setting(default, help: str, **flag):
+    """A PipelineConfig field with its flag's help text and argparse extras."""
+    return field(default=default, metadata={"help": help, **flag})
 
 
 @dataclass
 class PipelineConfig:
-    ratings: str = ""
-    delimiter: str = "\t"
-    user_col: int = 0
-    item_col: int = 1
-    rating_col: int | None = None
-    timestamp_col: int | None = None
-    header: bool = True
-    triples: str = ""
-    links: str = ""
-    knn_predicate: str = DEFAULT_KNN_PREDICATE
-    type_filter: str = DEFAULT_TYPE_FILTER
-    k: int = DEFAULT_K
-    n: int = DEFAULT_N
-    threshold: float | None = None
-    two_hop: bool = False
-    format: str = "tsv"
-    out: str = "-"
-    bundle: str = "bundle.json"
-    workers: int = 1
+    """Every setting, declared once: a config-file key and a flag (user_col
+    is --user-col), typed by its annotation, listed in help in this order."""
+
+    ratings: str = _setting("", "ratings log path")
+    delimiter: str = _setting("\t", "ratings field delimiter (default tab)")
+    user_col: int = _setting(0, "0-based user id column (default 0)")
+    item_col: int = _setting(1, "0-based item id column (default 1)")
+    rating_col: int | None = _setting(
+        None, "rating column, validated but discarded")
+    timestamp_col: int | None = _setting(
+        None, "timestamp column, validated but discarded")
+    header: bool = _setting(True, "ratings file has a header line (default "
+                            "yes)", action=argparse.BooleanOptionalAction)
+    triples: str = _setting("", "N-Triples graph path")
+    links: str = _setting("", "item id -> entity iri TSV path")
+    bundle: str = _setting("bundle.json", "index bundle path (build output)")
+    k: int = _setting(DEFAULT_K, f"neighborhood size (default {DEFAULT_K})")
+    n: int = _setting(DEFAULT_N, f"summary length (default {DEFAULT_N})")
+    threshold: float | None = _setting(
+        None, "similarity threshold; switches neighborhood mode")
+    type_filter: str = _setting("http://rdf.freebase.com/ns/film.film",
+                                "rdf:type IRI restricting the entity universe")
+    knn_predicate: str = _setting(
+        DEFAULT_KNN_PREDICATE, "predicate IRI for materialized knn edges")
+    format: str = _setting("tsv", "summary output format", choices=FORMATS)
+    two_hop: bool = _setting(False, "rank two-hop composite features",
+                             action="store_true")
+    workers: int = _setting(1, "threads for the build's neighborhood "
+                            "computation, fixed-k and threshold mode alike "
+                            "(default 1)")
+    out: str = _setting("-", "output path, or - for stdout")
 
     def validate(self) -> None:
-        if not self.delimiter:
-            raise ValueError("delimiter must not be empty")
-        for name in ("user_col", "item_col", "rating_col", "timestamp_col"):
-            col = getattr(self, name)
-            if col is not None and col < 0:
-                raise ValueError(f"{name} must be >= 0, got {col}")
-        if self.user_col == self.item_col:
-            raise ValueError(f"user_col and item_col must differ, both are "
-                             f"{self.user_col}")
+        self.ratings_format()  # the ratings layout checks its own columns
         for name in ("knn_predicate", "type_filter"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty IRI")
@@ -76,7 +84,7 @@ class PipelineConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.threshold is not None and not (0.0 < self.threshold < 1.0):
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.format not in ("tsv", "structured"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown output format: {self.format!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -90,16 +98,32 @@ class PipelineConfig:
                              self.rating_col, self.timestamp_col, self.header)
 
 
-_BOOL_KEYS = {"header", "two_hop"}
-_INT_KEYS = {"user_col", "item_col", "rating_col", "timestamp_col",
-             "k", "n", "workers"}
-_FLOAT_KEYS = {"threshold"}
+# each setting's value type: its annotation, with X | None read as X
+_SETTING_TYPES = {name: next((t for t in get_args(hint)
+                              if t is not type(None)), hint)
+                  for name, hint in get_type_hints(PipelineConfig).items()}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(key: str, value: str):
+    """A config-file value converted to its setting's type."""
+    kind = _SETTING_TYPES[key]
+    if kind is bool:
+        if value.lower() not in _BOOLS:
+            raise ValueError(f"expected 1/0, true/false, yes/no or on/off, "
+                             f"got {value!r}")
+        return _BOOLS[value.lower()]
+    if key == "delimiter":
+        # backslash escapes such as \t; any other character stays itself
+        return value.encode("latin-1", "backslashreplace").decode(
+            "unicode_escape")
+    return kind(value)
 
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; # starts a comment; blank lines ignored."""
     values: dict = {}
-    known = {f.name for f in fields(PipelineConfig)}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -109,20 +133,10 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in known:
+            if key not in _SETTING_TYPES:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             try:
-                if key in _BOOL_KEYS:
-                    values[key] = value.lower() in ("1", "true", "yes", "on")
-                elif key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                elif key == "delimiter":
-                    values[key] = value.encode().decode("unicode_escape")
-                else:
-                    values[key] = value
+                values[key] = _config_value(key, value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
@@ -200,29 +214,26 @@ def read_bundle(path: str) -> dict:
         return json.load(fh)
 
 
-def bundle_neighbor_lists(bundle: dict) -> dict[str, NeighborList]:
-    return {center: NeighborList(center, [(i, s) for i, s in pairs])
-            for center, pairs in bundle["neighbors"].items()}
-
-
-def _is_neighbor_list(center: str, pairs: object) -> bool:
-    """A list of [item, score] pairs as write_bundle writes them: item ids
-    and similarities in [0, 1]."""
+def _neighbor_list(center: str, pairs: object) -> NeighborList | None:
+    """center's NeighborList if pairs are [item, score] pairs as write_bundle
+    writes them, item ids with similarities in [0, 1]; else None."""
     if type(pairs) is not list or undecodable(center):
-        return False
+        return None
+    neighbors = []
     for pair in pairs:
         if type(pair) is not list or len(pair) != 2:
-            return False
+            return None
         item, score = pair
         if not (type(item) is str and not undecodable(item)
                 and type(score) in (float, int) and 0 <= score <= 1):
-            return False
-    return True
+            return None
+        neighbors.append((item, score))
+    return NeighborList(center, neighbors)
 
 
-def _load_bundle(cfg: PipelineConfig) -> dict:
-    """The bundle at cfg.bundle; a file that is no bundle, or holds a
-    malformed neighbor list, is an input error."""
+def _load_bundle(cfg: PipelineConfig) -> tuple[dict, dict[str, NeighborList]]:
+    """The bundle at cfg.bundle and its neighbor lists; a file that is no
+    bundle, or holds a malformed neighbor list, is an input error."""
     try:
         bundle = read_bundle(cfg.bundle)
     except OSError as exc:
@@ -232,13 +243,15 @@ def _load_bundle(cfg: PipelineConfig) -> dict:
     if not isinstance(bundle, dict) or not isinstance(
             bundle.get("neighbors"), dict):
         raise _InputError(f"bundle {cfg.bundle!r} has no neighbor lists")
+    lists = {}
     for center, pairs in bundle["neighbors"].items():
-        if not _is_neighbor_list(center, pairs):
+        lists[center] = _neighbor_list(center, pairs)
+        if lists[center] is None:
             raise _InputError(
                 f"bundle {cfg.bundle!r} has a malformed neighbor list for "
                 f"{center!r}: expected a list of [item, score] pairs, with "
                 f"scores in [0, 1]")
-    return bundle
+    return bundle, lists
 
 
 def _check_bundle_parameters(bundle: dict, cfg: PipelineConfig) -> None:
@@ -364,28 +377,26 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
 
 
 def cmd_neighbors(cfg: PipelineConfig, target: str) -> int:
-    neighbors = _load_bundle(cfg)["neighbors"]
+    _bundle, lists = _load_bundle(cfg)
     item_id = target
-    if item_id not in neighbors:
+    if item_id not in lists:
         # maybe an entity iri: resolve back through the link map
         links = _load_links(cfg, missing_ok=True)
-        item_id = reverse_links(links, neighbors).get(target)
+        item_id = reverse_links(links, lists).get(target)
         if item_id is None:
             print(f"error: unknown item or entity: {target!r}", file=sys.stderr)
             return EXIT_RESOLUTION
-    nl = NeighborList(item_id, [(i, s) for i, s in neighbors[item_id]])
     with _open_out(cfg) as out:
-        out.write(format_neighbors_tsv(nl))
+        out.write(format_neighbors_tsv(lists[item_id]))
     return EXIT_OK
 
 
 def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                   all_entities: bool) -> int:
-    bundle = _load_bundle(cfg)
+    bundle, lists = _load_bundle(cfg)
     _check_bundle_parameters(bundle, cfg)
     store, _diags = _load_graph(cfg)
     links = _load_links(cfg, missing_ok=False)
-    lists = bundle_neighbor_lists(bundle)
     knn_predicate = iri(cfg.knn_predicate)
     type_filter = iri(cfg.type_filter)
     context = SummaryContext(store, lists, links, knn_predicate, type_filter)
@@ -395,7 +406,8 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
     render = (render_summary_tsv if cfg.format == "tsv"
               else render_summary_structured)
     failures = 0
-    with _open_out(cfg) as out:
+    with contextlib.ExitStack() as stack:
+        out = None
         for idx, target in enumerate(targets):
             try:
                 summary = summarize(
@@ -407,58 +419,36 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                 print(f"error: {target}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
+            # opened once a target resolves; see _open_out
+            out = out or stack.enter_context(_open_out(cfg))
             if idx > 0:
                 out.write("\n")
             out.write(render(summary))
+        if out is None and not failures:  # an empty universe: empty output
+            stack.enter_context(_open_out(cfg))
     return EXIT_RESOLUTION if failures else EXIT_OK
 
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """--config and one flag per PipelineConfig field, for every command."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--ratings", help="ratings log path")
-    p.add_argument("--delimiter", help="ratings field delimiter (default tab)")
-    p.add_argument("--user-col", dest="user_col", type=int,
-                   help="0-based user id column (default 0)")
-    p.add_argument("--item-col", dest="item_col", type=int,
-                   help="0-based item id column (default 1)")
-    p.add_argument("--rating-col", dest="rating_col", type=int,
-                   help="rating column, validated but discarded")
-    p.add_argument("--timestamp-col", dest="timestamp_col", type=int,
-                   help="timestamp column, validated but discarded")
-    p.add_argument("--header", dest="header",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="ratings file has a header line (default yes)")
-    p.add_argument("--triples", help="N-Triples graph path")
-    p.add_argument("--links", help="item id -> entity iri TSV path")
-    p.add_argument("--bundle", help="index bundle path (build output)")
-    p.add_argument("--k", type=int, help="neighborhood size (default 20)")
-    p.add_argument("--n", type=int, help="summary length (default 10)")
-    p.add_argument("--threshold", type=float,
-                   help="similarity threshold; switches neighborhood mode")
-    p.add_argument("--type-filter", dest="type_filter",
-                   help="rdf:type IRI restricting the entity universe")
-    p.add_argument("--knn-predicate", dest="knn_predicate",
-                   help="predicate IRI for materialized knn edges")
-    p.add_argument("--format", choices=("tsv", "structured"),
-                   help="summary output format")
-    p.add_argument("--two-hop", dest="two_hop", action="store_true",
-                   default=None, help="rank two-hop composite features")
-    p.add_argument("--workers", type=int,
-                   help="threads for the build's neighborhood computation, "
-                        "fixed-k and threshold mode alike (default 1)")
-    p.add_argument("--out", help="output path, or - for stdout")
+    for f in fields(PipelineConfig):
+        extras = dict(f.metadata)
+        if "action" not in extras:
+            extras["type"] = _SETTING_TYPES[f.name]
+        p.add_argument(f"--{f.name.replace('_', '-')}", default=None,
+                       **extras)
+    return p
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
+    values = parse_config_file(args.config) if args.config else {}
     for f in fields(PipelineConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     cfg = PipelineConfig(**values)
     cfg.validate()
     return cfg
@@ -480,14 +470,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="knnsum",
         description="Usage-data-driven entity summarization pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_build = sub.add_parser("build", help="ingest inputs and persist the "
-                                           "neighbor-list bundle")
-    _add_common_flags(p_build)
-    p_nb = sub.add_parser("neighbors", help="print one item's neighbor list")
-    _add_common_flags(p_nb)
+    common = [_common_flags()]
+    sub.add_parser("build", parents=common, help="ingest inputs and persist "
+                                                 "the neighbor-list bundle")
+    p_nb = sub.add_parser("neighbors", parents=common,
+                          help="print one item's neighbor list")
     p_nb.add_argument("target", help="item id or entity iri")
-    p_sum = sub.add_parser("summarize", help="print entity summaries")
-    _add_common_flags(p_sum)
+    p_sum = sub.add_parser("summarize", parents=common,
+                           help="print entity summaries")
     p_sum.add_argument("targets", nargs="*", help="item ids or entity iris")
     p_sum.add_argument("--all", action="store_true",
                        help="summarize every entity in the universe")

@@ -38,7 +38,9 @@ class RatingsFormat:
     """Column layout of a delimited ratings file.
 
     Defaults match HetRec-style ``user_ratedmovies.dat``: tab-separated,
-    user id in column 0, item id in column 1, one header line.
+    user id in column 0, item id in column 1, one header line. An empty
+    delimiter, a negative column or one column for users and items raises
+    ValueError on construction.
     """
 
     delimiter: str = "\t"
@@ -48,13 +50,20 @@ class RatingsFormat:
     timestamp_col: int | None = None
     header: bool = True
 
+    def __post_init__(self) -> None:
+        if not self.delimiter:
+            raise ValueError("delimiter must not be empty")
+        for name in ("user_col", "item_col", "rating_col", "timestamp_col"):
+            col = getattr(self, name)
+            if col is not None and col < 0:
+                raise ValueError(f"{name} must be >= 0, got {col}")
+        if self.user_col == self.item_col:
+            raise ValueError(f"user_col and item_col must differ, both are "
+                             f"{self.user_col}")
+
     def max_index(self) -> int:
-        cols = [self.user_col, self.item_col]
-        if self.rating_col is not None:
-            cols.append(self.rating_col)
-        if self.timestamp_col is not None:
-            cols.append(self.timestamp_col)
-        return max(cols)
+        return max(c for c in (self.user_col, self.item_col, self.rating_col,
+                               self.timestamp_col) if c is not None)
 
 
 class RejectedLine(NamedTuple):

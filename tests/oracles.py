@@ -56,14 +56,21 @@ def brute_contingency(pairs: list[tuple[str, str]], a: str, b: str
 
 # -- neighborhoods --------------------------------------------------------------
 
-def scored_candidates(m: UsageMatrix, e: str) -> list[tuple[str, float]]:
+def rater_sets(m: UsageMatrix) -> dict[str, set[str]]:
+    """Each item's rater set, for the oracles below to share per matrix."""
+    return {item: m.raters_of(item) for item in m.items}
+
+
+def scored_candidates(m: UsageMatrix, e: str,
+                      sets: dict[str, set[str]] | None = None
+                      ) -> list[tuple[str, float]]:
     """Every item with positive similarity to e, sorted by (-score, id).
 
     Counts co-raters item by item from a user -> items index of its own,
-    built from each item's rater set, scoring each pair's table with the
-    per-table similarity_score.
+    built from each item's rater set (sets, or rater_sets(m)), scoring each
+    pair's table with the per-table similarity_score.
     """
-    sets = {item: m.raters_of(item) for item in m.items}
+    sets = rater_sets(m) if sets is None else sets
     raters = sets[e]
     items_by_user: dict[str, set[str]] = {user: set() for user in raters}
     for item, users in sets.items():
@@ -86,13 +93,16 @@ def scored_candidates(m: UsageMatrix, e: str) -> list[tuple[str, float]]:
     return scored
 
 
-def knn_oracle(m: UsageMatrix, e: str, k: int) -> list[tuple[str, float]]:
-    return scored_candidates(m, e)[:k]
+def knn_oracle(m: UsageMatrix, e: str, k: int,
+               sets: dict[str, set[str]] | None = None
+               ) -> list[tuple[str, float]]:
+    return scored_candidates(m, e, sets)[:k]
 
 
-def threshold_oracle(m: UsageMatrix, e: str, tau: float
+def threshold_oracle(m: UsageMatrix, e: str, tau: float,
+                     sets: dict[str, set[str]] | None = None
                      ) -> list[tuple[str, float]]:
-    return [(b, s) for b, s in scored_candidates(m, e) if s > tau]
+    return [(b, s) for b, s in scored_candidates(m, e, sets) if s > tau]
 
 
 # -- N-Triples loading ----------------------------------------------------------

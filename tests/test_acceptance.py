@@ -25,7 +25,8 @@ from knnsum.similarity import all_pairs_knn, log_likelihood_ratio
 from knnsum.summarize import entity_universe, feature_weights
 from knnsum.usage import ContingencyTable, UsageMatrix
 from oracles import (FILM, KNN, brute_feature_weights, g2_oracle, knn_oracle,
-                     random_store, random_two_hop_store, brute_two_hop)
+                     random_store, random_two_hop_store, brute_two_hop,
+                     rater_sets)
 
 
 def report(n, text):
@@ -258,10 +259,11 @@ def test_criterion_10_scale_check(tmp_path, capsys):
 
     bundle = read_bundle(str(tmp_path / "bundle.json"))
     matrix = UsageMatrix(pairs)
+    sets = rater_sets(matrix)
     rng = random.Random(11)
     for item in rng.sample(sorted(matrix.items), 20):
         got = bundle["neighbors"][item]
-        assert [(i, s) for i, s in got] == knn_oracle(matrix, item, 20)
+        assert [(i, s) for i, s in got] == knn_oracle(matrix, item, 20, sets)
     report(10, f"build over 2,113 x 10,197 (~855k events) finished in "
                f"{elapsed:.0f}s; 20 spot-checked neighbor lists match")
 

@@ -262,7 +262,8 @@ def test_unwritable_output_is_refused(eight_film_corpus, capsys, command):
 
 
 @pytest.mark.parametrize("command, target", [
-    ("neighbors", "m1"), ("neighbors", "bogus"), ("summarize", "m1")])
+    ("neighbors", "m1"), ("neighbors", "bogus"), ("summarize", "m1"),
+    ("summarize", "bogus")])
 def test_failed_command_keeps_previous_output(eight_film_corpus, capsys,
                                               command, target):
     build(eight_film_corpus)
@@ -278,9 +279,21 @@ def test_failed_command_keeps_previous_output(eight_film_corpus, capsys,
     assert target_out.read_text() == "previous output\n"
 
 
+def test_summarize_of_an_empty_universe_empties_output(eight_film_corpus,
+                                                       capsys):
+    build(eight_film_corpus)
+    target_out = eight_film_corpus.root / "out.txt"
+    target_out.write_text("previous output\n")
+    assert main(["summarize", "--config", str(eight_film_corpus.config),
+                 "--type-filter", "http://example.org/Nothing", "--all",
+                 "--out", str(target_out)]) == 0
+    assert target_out.read_text() == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("k", "abc"), ("n", "2.5"), ("workers", ""), ("user_col", "one"),
-    ("threshold", "high"), ("delimiter", "\\x")])
+    ("threshold", "high"), ("delimiter", "\\x"), ("header", "nope"),
+    ("two_hop", "ture")])
 def test_bad_config_value_names_file_line_and_key(eight_film_corpus, capsys,
                                                   key, value):
     config = eight_film_corpus.config
@@ -490,6 +503,49 @@ def test_eight_film_outputs_are_pinned(eight_film_corpus, capsys):
     digests = {name: hashlib.sha256(text.encode()).hexdigest()
                for name, text in outputs.items()}
     assert digests == EIGHT_FILM_OUTPUTS
+
+
+# sha256 of `knnsum [COMMAND] --help` at 80 columns, as Python 3.11's
+# argparse lays it out
+HELP_OUTPUTS = {
+    "": "d6627d5e049c20d107040dc883e896136103b7dfc6918c3f31763e49a2904b42",
+    "build": (
+        "88357725d1eb7f9e2b9422d42627b9d43900426c015b7fa1c9ec24117ebe05b0"),
+    "neighbors": (
+        "2be0225078d3dc8e57354e60c6bf465570ccd8080f58c36c3033edb0300c4c38"),
+    "summarize": (
+        "f6532a64adac9075f860806caf19e77e1b8f7a943857df5e05994de4e0e05727"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout differs across versions")
+def test_help_outputs_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {}
+    for command in HELP_OUTPUTS:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"] if command else ["--help"])
+        assert exit_info.value.code == 0
+        digests[command] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert digests == HELP_OUTPUTS
+
+
+@pytest.mark.parametrize("spelled, delimiter", [
+    ("\\t", "\t"), ("\u00a6", "\u00a6"), ("\u2192", "\u2192")])
+def test_config_delimiter_is_read_as_written(eight_film_corpus, capsys,
+                                             spelled, delimiter):
+    # a backslash escape is decoded; any other character is taken as is
+    ratings = eight_film_corpus.ratings
+    ratings.write_text(ratings.read_text(encoding="utf-8").replace(
+        "\t", delimiter), encoding="utf-8")
+    with eight_film_corpus.config.open("a", encoding="utf-8") as fh:
+        fh.write(f"delimiter = {spelled}\n")
+    assert build(eight_film_corpus) == 0
+    assert "rejected ratings lines: 0\n" in capsys.readouterr().out
+    bundle = json.loads(eight_film_corpus.bundle.read_text())
+    assert bundle["matrix_digest"] == EIGHT_FILM_DIGEST
 
 
 @pytest.mark.parametrize("command", [

@@ -11,7 +11,7 @@ from knnsum.similarity import (NeighborList, UndefinedTableError,
                                k_nearest_neighbors, log_likelihood_ratio,
                                neighbors_above_threshold, similarity_score)
 from knnsum.usage import ContingencyTable, UnknownItemError, UsageMatrix
-from oracles import g2_oracle, knn_oracle, threshold_oracle
+from oracles import g2_oracle, knn_oracle, rater_sets, threshold_oracle
 
 cells = st.integers(min_value=0, max_value=5000)
 tables = st.tuples(cells, cells, cells, cells).filter(lambda t: sum(t) > 0)
@@ -249,8 +249,9 @@ def usage_logs(draw):
 @settings(max_examples=60, deadline=None)
 def test_kernel_equals_oracle_bit_for_bit(pairs, k, tau):
     m = UsageMatrix(pairs)
-    want_knn = {e: knn_oracle(m, e, k) for e in m.items}
-    want_tau = {e: threshold_oracle(m, e, tau) for e in m.items}
+    sets = rater_sets(m)
+    want_knn = {e: knn_oracle(m, e, k, sets) for e in m.items}
+    want_tau = {e: threshold_oracle(m, e, tau, sets) for e in m.items}
     for block_size, workers in product((1, 7, 256), (1, 3)):
         knn = all_pairs_knn(m, k, workers=workers, block_size=block_size)
         above = all_pairs_knn(m, k, workers=workers, block_size=block_size,

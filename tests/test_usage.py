@@ -55,6 +55,16 @@ def test_ingest_rejects_empty_ids():
     assert result.rejected_count == 2
 
 
+@pytest.mark.parametrize("layout, field", [
+    ({"delimiter": ""}, "delimiter"), ({"user_col": -1}, "user_col"),
+    ({"item_col": -2}, "item_col"), ({"rating_col": -1}, "rating_col"),
+    ({"timestamp_col": -1}, "timestamp_col"),
+    ({"user_col": 1, "item_col": 1}, "user_col and item_col")])
+def test_unreadable_layout_is_refused(layout, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        RatingsFormat(**layout)
+
+
 def test_ingest_comma_delimiter_and_column_mapping():
     fmt = RatingsFormat(delimiter=",", user_col=1, item_col=0, header=False)
     result = ingest_ratings(io.StringIO("a,u1\nb,u1\n"), fmt)
