@@ -124,8 +124,10 @@ def _config_value(key: str, value: str):
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; # starts a comment; blank lines ignored."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if undecodable(raw):
+                raise ValueError(f"{path}:{line_no}: {NOT_UTF8}")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -408,7 +410,7 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
     failures = 0
     with contextlib.ExitStack() as stack:
         out = None
-        for idx, target in enumerate(targets):
+        for target in targets:
             try:
                 summary = summarize(
                     store, lists, links, target,
@@ -419,9 +421,9 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                 print(f"error: {target}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            # opened once a target resolves; see _open_out
-            out = out or stack.enter_context(_open_out(cfg))
-            if idx > 0:
+            if out is None:  # opened once a target resolves; see _open_out
+                out = stack.enter_context(_open_out(cfg))
+            else:  # a blank line between summaries
                 out.write("\n")
             out.write(render(summary))
         if out is None and not failures:  # an empty universe: empty output

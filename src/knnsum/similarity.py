@@ -3,6 +3,8 @@
 The pair similarity of two items with no common rater is defined as 0:
 a raw G2 of such a table can be large (strong *negative* association),
 but co-usage evidence is what neighborhoods are built from.
+
+numpy is imported in the functions that compute with it, as in usage.py.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .usage import ContingencyTable, UnknownItemError, UsageMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_K = 20
 
@@ -87,6 +91,8 @@ def _xlx_table(n: int) -> np.ndarray:
     log can differ from it in the last bit (first at x = 9,170 on some
     x86 CPUs).
     """
+    import numpy as np
+
     table = np.array([_xlx(x) for x in range(n + 1)])
     table.setflags(write=False)
     return table
@@ -118,6 +124,8 @@ class _Kernel:
         Threshold mode (tau set) keeps every score above tau; fixed-k mode
         keeps the k best. Lists are ordered by (-score, item id).
         """
+        import numpy as np
+
         m, xlx, total = self.m, self.xlx, self.total
         gram = m.by_item[start:stop] @ m.by_user
         rows = np.repeat(np.arange(start, stop), np.diff(gram.indptr))
@@ -191,6 +199,8 @@ def _top_k_candidates(local: np.ndarray, cols: np.ndarray, score: np.ndarray,
     Entries arrive grouped by row. Rows are padded with zeros (every kept
     score is positive) into one block for np.partition.
     """
+    import numpy as np
+
     width = int(per_row.max(initial=0))
     if width <= k:
         return local, cols, score

@@ -2,18 +2,22 @@
 
 Rating values are treated as evidence of usage only: a (user, item) pair is
 either present or absent, numerical scores are discarded at ingestion.
+
+numpy and scipy are imported in the functions that compute with them, so
+that importing knnsum, as the neighbors and summarize commands do, does
+not load them.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
-
-import numpy as np
-from scipy import sparse
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .textio import NOT_UTF8, undecodable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UnknownItemError(KeyError):
@@ -82,6 +86,9 @@ class UsageMatrix:
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str]]):
+        import numpy as np
+        from scipy import sparse
+
         user_code: dict[str, int] = {}
         item_code: dict[str, int] = {}
         user_col = array("i")
@@ -125,6 +132,8 @@ class UsageMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UsageMatrix):
             return NotImplemented
+        import numpy as np
+
         return (self.items == other.items and self.users == other.users
                 and np.array_equal(self.by_item.indptr, other.by_item.indptr)
                 and np.array_equal(self.by_item.indices,
@@ -136,6 +145,8 @@ class UsageMatrix:
 
 def _sorted_codes(code: dict[str, int]) -> tuple[list[str], np.ndarray]:
     """The ids in sorted() order, and the sorted position of each code."""
+    import numpy as np
+
     ids = sorted(code)
     rank = np.empty(len(ids), dtype=np.int32)
     rank[[code[i] for i in ids]] = np.arange(len(ids))
@@ -194,6 +205,8 @@ def cooccurrence(m: UsageMatrix, a: str, b: str) -> ContingencyTable:
     """Contingency table of rater counts for a pair of distinct items."""
     if a == b:
         raise InvalidPairError(f"co-occurrence of an item with itself: {a!r}")
+    import numpy as np
+
     ra = m._row(a)
     rb = m._row(b)
     k11 = len(np.intersect1d(ra, rb, assume_unique=True))

@@ -14,8 +14,8 @@ import pytest
 
 import knnsum
 
-from conftest import (FILM_TYPE, KNN_PRED, eight_film_pairs, film_iri,
-                      write_eight_film_corpus)
+from conftest import (FILM_TYPE, KNN_PRED, eight_film_pairs,
+                      eight_film_triples, film_iri, write_eight_film_corpus)
 from knnsum.cli import main, matrix_digest, render_summary_structured
 from knnsum.similarity import all_pairs_knn
 from knnsum.rdf import iri
@@ -147,6 +147,19 @@ def test_summarize_mixed_valid_and_bogus(eight_film_corpus, capsys):
     assert code == 2
     assert captured.out.count("# <") == 1
     assert "nope" in captured.err
+
+
+def test_summarize_separates_only_written_summaries(eight_film_corpus,
+                                                   capsys):
+    build(eight_film_corpus)
+    cfg = ["--config", str(eight_film_corpus.config), "--n", "1"]
+    capsys.readouterr()
+    assert main(["summarize", *cfg, "m1", "m2"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["summarize", *cfg, "bogus", "m1", "nope", "m2"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("# ")
+    assert out == expected
 
 
 def test_summarize_without_targets_errors(eight_film_corpus, capsys):
@@ -306,6 +319,17 @@ def test_bad_config_value_names_file_line_and_key(eight_film_corpus, capsys,
     assert err.count("\n") == 1
 
 
+def test_non_utf8_config_file_is_refused(eight_film_corpus, capsys):
+    config = eight_film_corpus.config
+    line_no = len(config.read_bytes().splitlines()) + 1
+    with config.open("ab") as fh:
+        fh.write(b"k = 2\xff\n")
+    assert build(eight_film_corpus) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}:{line_no}: not valid UTF-8\n"
+
+
 def _child_env() -> dict[str, str]:
     """The environment for a knnsum child process that imports the same
     knnsum as this process, installed or not."""
@@ -359,6 +383,70 @@ def test_module_entry_point_runs_end_to_end(eight_film_corpus):
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "knn triples added: 24" in proc.stdout
+    bundle = eight_film_corpus.bundle.read_bytes()
+    assert hashlib.sha256(bundle).hexdigest() == (
+        EIGHT_FILM_OUTPUTS["bundle.json"])
+
+
+# knnsum.cli.main(sys.argv[1:]) in a fresh interpreter, which then writes
+# the numpy and scipy modules it loaded as the last line of stderr
+_MAIN_THEN_HEAVY_MODULES = """
+import sys
+from knnsum.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(sorted({"numpy", "scipy"} & set(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["neighbors", "m1"], ["neighbors", film_iri("m6")], ["summarize", "m1"],
+    ["summarize", "--two-hop", "--format", "structured", "m1"],
+    ["summarize", "--all"], ["--help"]])
+def test_lookups_load_neither_numpy_nor_scipy(eight_film_corpus, capsys,
+                                              monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # --help's layout, in both processes
+    assert build(eight_film_corpus) == 0
+    argv = (command if command == ["--help"] else
+            [command[0], "--config", str(eight_film_corpus.config),
+             *command[1:]])
+    capsys.readouterr()
+    try:
+        assert main(argv) == 0
+    except SystemExit as exc:
+        assert exc.code == 0
+    expected = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_HEAVY_MODULES, *argv],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert proc.stderr.splitlines()[-1] == "[]"
+
+
+def test_readme_library_example_runs(eight_film_corpus):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    library = readme.read_text(encoding="utf-8").split("\n## Library\n")[1]
+    example = library.split("```python\n")[1].split("```")[0]
+    # the example's file names, in a fresh interpreter
+    eight_film_corpus.triples.rename(eight_film_corpus.root / "films.nt")
+    proc = subprocess.run([sys.executable, "-c", example],
+                          cwd=eight_film_corpus.root, capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+    with eight_film_corpus.ratings.open() as fh:
+        matrix = ingest_ratings(fh).matrix
+    summary = summarize(knnsum.TripleStore(eight_film_triples()), matrix,
+                        load_links(str(eight_film_corpus.links)), "m1",
+                        knn_predicate=iri(KNN_PRED),
+                        type_filter=iri(FILM_TYPE))
+    assert summary.features
+    assert proc.stdout == "".join(f"{wf.weight} {wf.feature}\n"
+                                  for wf in summary.features)
 
 
 def test_summarize_reads_no_ratings_file(eight_film_corpus, capsys):
