@@ -189,10 +189,12 @@ class TripleStore:
     def support_counter(self, universe: Iterable[Term]
                         ) -> Callable[[Feature | PathFeature], int]:
         """How many entities of the universe, read once here, hold a
-        feature: a property-value pair, or a two-hop path via any node."""
+        feature: a property-value pair, or a two-hop path via any node.
+        Each feature is counted once, on first use."""
         members = self._id_set(universe)
         pos, id_of = self._pos, self._id
 
+        @cache
         def global_support(f: Feature | PathFeature) -> int:
             if isinstance(f, Feature):
                 return len(members.intersection(
@@ -225,26 +227,26 @@ class TripleStore:
     def shared_two_hop_paths(self, e: Term, neighbors: Iterable[Term],
                              excluded_predicates: Iterable[Term] = ()
                              ) -> dict[PathFeature, set[Term]]:
-        """Two-hop composites of e matched by any neighbor's own two-hop path.
+        """Two-hop composites of e held by at least one of the neighbors.
 
-        Only (p, q, t) must agree; the intermediate nodes are free on both
-        sides and are never required to coincide. Neither hop may use an
-        excluded predicate.
+        A neighbor holds (p, q, t) when one of its p-objects has the pair
+        (q, t), as support_counter counts it: the intermediate nodes are free
+        on both sides and are never required to coincide. Neither hop may
+        use an excluded predicate.
         """
         excluded = self._id_set(excluded_predicates)
-
-        def paths(s: int) -> set[tuple[int, int, int]]:
-            return {(p, q, t) for p, o in self._features(s, excluded)
-                    for q, t in self._features(o, excluded)}
-
-        own = paths(self._id(e))
-        witnesses: dict[tuple[int, int, int], set[int]] = {}
-        for s in self._id_set(neighbors):
-            for path in own.intersection(paths(s)):
-                witnesses.setdefault(path, set()).add(s)
-        terms = self._terms
-        return {PathFeature(terms[p], terms[q], terms[t]): self._term_set(ws)
-                for (p, q, t), ws in witnesses.items()}
+        spo, pos, terms = self._spo, self._pos, self._terms
+        nbrs = [(s, spo.get(s, {})) for s in self._id_set(neighbors)]
+        own = {(p, q, t) for p, o in self._features(self._id(e), excluded)
+               for q, t in self._features(o, excluded)}
+        # each first property's objects over all neighbors: a path through
+        # none of them has no witness, and most paths need no neighbor scan
+        reach = {p: set().union(*(by_p.get(p, ()) for _, by_p in nbrs))
+                 for p in {p for p, _, _ in own}}
+        return {PathFeature(terms[p], terms[q], terms[t]):
+                self._term_set(s for s, by_p in nbrs
+                               if not pos[q, t].isdisjoint(by_p.get(p, ())))
+                for p, q, t in own if not pos[q, t].isdisjoint(reach[p])}
 
     def knn_edges(self, lists: Mapping[str, NeighborList],
                   link: Mapping[str, str]

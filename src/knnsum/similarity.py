@@ -238,8 +238,10 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     contingency table bit for bit, and the lists are the same whatever
     the block size and worker count.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    for name, value in (("k", k), ("workers", workers),
+                        ("block_size", block_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not m.items:
         return {}
     kernel = _Kernel(m)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Collection, Mapping
 
 from .rdf import (Feature, PathFeature, Term, TripleStore, iri, term_key)
@@ -66,7 +67,7 @@ class FeatureWeigher:
 
     Every summary and feature weighting goes through weigh(). Each
     feature's global support |B| within the universe is counted once per
-    weigher, on first use.
+    weigher, on first use (see TripleStore.support_counter).
     """
 
     def __init__(self, store: TripleStore, universe: set[Term],
@@ -75,13 +76,6 @@ class FeatureWeigher:
         self.universe = universe
         self.knn_predicate = knn_predicate
         self._global_support = store.support_counter(universe)
-        self._support: dict[Feature | PathFeature, int] = {}
-
-    def support(self, f: Feature | PathFeature) -> int:
-        b = self._support.get(f)
-        if b is None:
-            b = self._support[f] = self._global_support(f)
-        return b
 
     def weigh(self, e: Term, neighbors: set[Term],
               two_hop: bool = False) -> list[WeightedFeature]:
@@ -97,7 +91,7 @@ class FeatureWeigher:
         out = []
         for f, ws in witnesses.items():
             a = len(ws)
-            b = self.support(f)
+            b = self._global_support(f)
             out.append(WeightedFeature(f, a, b, a * math.log(size / b)))
         out.sort(key=_feature_sort_key)
         return out
@@ -154,8 +148,8 @@ def reverse_links(link: Mapping[str, str],
 class SummaryContext:
     """What every summary over one store, link map and neighbor source
     shares, built once: the typed universe, the items with usage data,
-    the reverse link index and (in the weigher) each feature's global
-    support."""
+    the reverse link index, each item's linked entity (resolved on first
+    use) and (in the weigher) each feature's global support."""
 
     def __init__(self, store: TripleStore, source: NeighborSource,
                  link: Mapping[str, str], knn_predicate: Term,
@@ -163,6 +157,7 @@ class SummaryContext:
         self.universe = entity_universe(store, type_filter)
         self.items = _usage_items(source)
         self.linked_item = reverse_links(link, self.items)
+        self.linked_entity = cache(partial(store.linked_entity, link=link))
         self.weigher = FeatureWeigher(store, self.universe, knn_predicate)
 
 
@@ -170,13 +165,12 @@ def _resolve_target(e: str, link: Mapping[str, str], store: TripleStore,
                     context: SummaryContext) -> tuple[str | None, Term]:
     """Map an item id or entity IRI onto (item id with usage data, entity)."""
     if e in link:
-        entity = store.linked_entity(e, link)
+        entity = context.linked_entity(e)
         if entity is None:
             raise ResolutionError(
                 f"link map: item {e!r} maps to {link[e]!r}, not in the store")
         return (e if e in context.items else None), entity
-    entity = iri(e)
-    if not store.has_subject(entity):
+    if not e or not store.has_subject(entity := iri(e)):
         raise ResolutionError(f"link map: unknown item id or entity iri: {e!r}")
     # entity iri given directly: its smallest linked item with usage data
     return context.linked_item.get(e), entity
@@ -216,7 +210,7 @@ def summarize(store: TripleStore, source: NeighborSource,
         nl = k_nearest_neighbors(source, item_id, k)
     else:
         nl = neighbors_above_threshold(source, item_id, tau)
-    linked = {store.linked_entity(item, link) for item, _score in nl.neighbors}
+    linked = {context.linked_entity(item) for item, _score in nl.neighbors}
     neighbors = (linked & context.universe) - {entity}
     weighted = context.weigher.weigh(entity, neighbors, two_hop)
     return Summary(entity, k, weighted[:n], STATUS_OK, mode)

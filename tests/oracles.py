@@ -231,6 +231,28 @@ def brute_feature_weights(triples: list[Triple], e: Term, knn: Term,
     return out
 
 
+def brute_path_feature_weights(triples: list[Triple], e: Term, knn: Term,
+                               type_iri: Term
+                               ) -> dict[PathFeature, tuple[int, int, float]]:
+    """Two-hop analog of brute_feature_weights: |A| from brute_two_hop, |B|
+    from a scan of every raw (s, p, m) (m, q, t) triple pair, with no knn
+    edge at either hop, for the universe entities s holding each path."""
+    universe = {t.subject for t in triples
+                if t.predicate == RDF_TYPE and t.object == type_iri}
+    holders: dict[PathFeature, set[Term]] = {}
+    for t1 in triples:
+        for t2 in triples:
+            if (t1.subject in universe and t2.subject == t1.object
+                    and knn not in (t1.predicate, t2.predicate)):
+                key = PathFeature(t1.predicate, t2.predicate, t2.object)
+                holders.setdefault(key, set()).add(t1.subject)
+    out = {}
+    for f, ws in brute_two_hop(triples, e, knn, type_iri).items():
+        a, b = len(ws), len(holders[f])
+        out[f] = (a, b, a * math.log(len(universe) / b))
+    return out
+
+
 # -- random instance generators -------------------------------------------------
 
 def random_usage_log(rng: random.Random, max_users: int = 50,

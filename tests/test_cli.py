@@ -162,6 +162,20 @@ def test_summarize_separates_only_written_summaries(eight_film_corpus,
     assert out == expected
 
 
+def test_summarize_empty_target_is_a_resolution_error(eight_film_corpus,
+                                                       capsys):
+    build(eight_film_corpus)
+    cfg = ["--config", str(eight_film_corpus.config), "--n", "1"]
+    capsys.readouterr()
+    assert main(["summarize", *cfg, "m1"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["summarize", *cfg, "m1", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == (
+        "error: : link map: unknown item id or entity iri: ''\n")
+
+
 def test_summarize_without_targets_errors(eight_film_corpus, capsys):
     build(eight_film_corpus)
     assert main(["summarize", "--config", str(eight_film_corpus.config)]) == 1

@@ -3,7 +3,8 @@
 Each example writes a ratings file, a graph and a link map (each the
 8-film fixture's, a byte-edited copy of it, or arbitrary bytes), runs
 `build`, then keeps, damages or replaces the bundle it wrote, and runs
-`neighbors` and `summarize`. Every command must return 0, 1 or 2 and
+`neighbors` and `summarize`, on fixed targets and on arbitrary text
+(the empty string included). Every command must return 0, 1 or 2 and
 raise nothing. Standard output is a strict UTF-8 stream, as a terminal or
 pipe is, so text that cannot be printed also counts as a crash.
 """
@@ -41,6 +42,8 @@ json_bundles = st.dictionaries(st.text(max_size=3), json_values,
     lambda neighbors: json.dumps({"mode": "fixed-k", "k": 20,
                                   "threshold": None,
                                   "neighbors": neighbors}).encode())
+# command-line targets: any text, the empty string always among them
+targets = st.lists(st.text(max_size=12), max_size=2).map(lambda t: ["", *t])
 
 
 def changed(data: bytes, change) -> bytes:
@@ -70,11 +73,12 @@ def fixture_bytes(tmp_path_factory) -> dict[str, bytes]:
 
 @given(inputs=st.tuples(changes, changes, changes),
        bundle=st.one_of(changes, json_bundles),
-       mode=st.sampled_from([[], ["--threshold", "0.5"]]))
+       mode=st.sampled_from([[], ["--threshold", "0.5"]]),
+       texts=targets)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_arbitrary_input_bytes_never_crash(fixture_bytes, inputs, bundle,
-                                           mode):
+                                           mode, texts):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         flags = []
@@ -91,7 +95,9 @@ def test_arbitrary_input_bytes_never_crash(fixture_bytes, inputs, bundle,
             bundle_path.write_bytes(changed(old, bundle))
         for argv in (["neighbors", *flags, "m1"],
                      ["neighbors", *flags, film_iri("m1")],
+                     ["neighbors", *flags, "--", texts[-1]],
                      ["summarize", *flags, "m1", film_iri("m2")],
+                     ["summarize", *flags, "--", "m1", *texts],
                      ["summarize", *flags, "--all", "--two-hop",
                       "--format", "structured"]):
             assert run(argv) in (0, 1, 2)

@@ -215,6 +215,15 @@ def test_all_pairs_independent_of_blocks_and_workers():
         assert base[item].neighbors == alt[item].neighbors
 
 
+@pytest.mark.parametrize("argument, value", [
+    ("k", 0), ("workers", 0), ("workers", -4), ("block_size", 0),
+    ("block_size", -1)])
+def test_all_pairs_rejects_non_positive_arguments(argument, value):
+    m = UsageMatrix([("u1", "a"), ("u1", "b"), ("u2", "a")])
+    with pytest.raises(ValueError, match=f"{argument} must be >= 1"):
+        all_pairs_knn(m, **{"k": 3, argument: value})
+
+
 def test_all_pairs_spot_check_against_scalar_path():
     rng = random.Random(5)
     pairs = [(f"u{rng.randrange(40)}", f"i{rng.randrange(60):02d}")

@@ -14,7 +14,9 @@ from knnsum.summarize import (EntityNotInUniverseError, ResolutionError,
                               entity_universe, feature_weights,
                               path_feature_weights, summarize)
 from knnsum.usage import UsageMatrix
-from oracles import FILM, KNN, brute_feature_weights, random_store
+from oracles import (FILM, KNN, brute_feature_weights,
+                     brute_path_feature_weights, random_store,
+                     random_two_hop_store)
 
 KNN_TERM = iri(KNN_PRED)
 FILM_TERM = iri(FILM_TYPE)
@@ -114,6 +116,26 @@ def test_feature_weights_match_brute_force_on_random_stores():
                 assert got[f][2] == pytest.approx(want[f][2], abs=1e-12)
 
 
+def test_path_feature_weights_match_brute_force_on_random_stores():
+    rng = random.Random(29)
+    compared = 0
+    for _ in range(40):
+        store, triples, _ = random_two_hop_store(rng)
+        universe = entity_universe(store, FILM)
+        for e in sorted(universe, key=lambda t: t.lexical)[:4]:
+            got = {wf.feature: (wf.neighbor_support, wf.global_support,
+                                wf.weight)
+                   for wf in path_feature_weights(store, e, universe, KNN,
+                                                  FILM)}
+            want = brute_path_feature_weights(triples, e, KNN, FILM)
+            assert got.keys() == want.keys()
+            for f in want:
+                assert got[f][:2] == want[f][:2]
+                assert got[f][2] == pytest.approx(want[f][2], abs=1e-12)
+            compared += len(want)
+    assert compared > 0
+
+
 def test_weight_monotone_in_global_support():
     # same A and E, growing B -> strictly smaller weight
     def weight_with_holders(extra_holders):
@@ -185,6 +207,11 @@ def test_summarize_accepts_entity_iri_directly():
 def test_summarize_unresolvable_id():
     with pytest.raises(ResolutionError):
         summ("nonexistent")
+
+
+def test_summarize_empty_id_is_unresolvable():
+    with pytest.raises(ResolutionError, match="unknown item id"):
+        summ("")
 
 
 def test_summarize_entity_without_usage_data():
