@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import IO, Mapping, Sequence, get_args, get_type_hints
 
-from .rdf import (DEFAULT_KNN_PREDICATE, Diagnostic, Triple, TripleStore, iri,
-                  load_ntriples, term_to_ntriples)
+from .rdf import (DEFAULT_KNN_PREDICATE, TripleStore, iri, load_ntriples,
+                  term_to_ntriples)
 from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
                          format_neighbors_tsv)
 # Bound here, though no command calls it, so that the benchmark's traced
@@ -25,7 +25,7 @@ from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
 from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
                         Summary, SummaryContext, reverse_links, summarize)
-from .textio import NOT_UTF8, open_text, undecodable
+from .textio import NOT_UTF8, Diagnostic, open_text, undecodable
 from .usage import IngestResult, RatingsFormat, UsageMatrix, ingest_ratings
 
 EXIT_OK = 0
@@ -345,10 +345,8 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
                           tau=cfg.threshold)
     # the knn triples that materialize_knn would add to the store
-    pairs, skipped = store.knn_edges(lists, links)
-    knn = iri(cfg.knn_predicate)
-    knn_added = len({(c, n) for c, n in pairs
-                     if Triple(c, knn, n) not in store})
+    pairs, skipped = store.knn_edges(lists, links, iri(cfg.knn_predicate))
+    knn_added = len(pairs)
     unmatched = [item for item in matrix.items
                  if store.linked_entity(item, links) is None]
     matched = len(matrix.items) - len(unmatched)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from .textio import NOT_UTF8, undecodable
+from .textio import NOT_UTF8, Diagnostic, undecodable
 
 if TYPE_CHECKING:
     from .similarity import NeighborList
@@ -41,6 +41,11 @@ class Term:
             raise ValueError(f"bad term kind: {self.kind!r}")
         if self.kind in (IRI, BLANK) and not self.lexical:
             raise ValueError(f"empty {self.kind} lexical form")
+        # "" renders as no language or datatype, so as another literal
+        if "" in (self.language, self.datatype) or (
+                self.language and self.datatype):
+            raise ValueError("a literal takes one non-empty language or "
+                             "datatype at most")
         if self.kind != LITERAL and (self.language or self.datatype):
             raise ValueError("language/datatype only allowed on literals")
 
@@ -85,11 +90,6 @@ class PathFeature(NamedTuple):
 
 def term_key(t: Term) -> tuple[str, str, str, str]:
     return (t.kind, t.lexical, t.language or "", t.datatype or "")
-
-
-class Diagnostic(NamedTuple):
-    line_no: int
-    reason: str
 
 
 class MaterializeResult(NamedTuple):
@@ -249,40 +249,49 @@ class TripleStore:
                 for p, q, t in own if not pos[q, t].isdisjoint(reach[p])}
 
     def knn_edges(self, lists: Mapping[str, NeighborList],
-                  link: Mapping[str, str]
+                  link: Mapping[str, str], predicate: Term
                   ) -> tuple[list[tuple[Term, Term]], list[str]]:
         """The (center, neighbor) entity pairs of the lists, by linked_entity,
-        and a message per item with no entity. Self-loops, also from two ids
-        of one entity, are dropped; a pair may repeat."""
-        resolve = cache(partial(self.linked_entity, link=link))
+        that are no (center, predicate, neighbor) triple yet, each once; and
+        a message per item with no entity. Self-loops, also from two ids of
+        one entity, are dropped."""
+        resolve = cache(partial(self._linked_id, link=link))
+        knn, terms = self._id(predicate), self._terms
+        seen: set[tuple[int, int]] = set()
         pairs, skipped = [], []
         for center_id in sorted(lists):
-            center = resolve(center_id)
-            if center is None:
+            c = resolve(center_id)
+            if c < 0:
                 skipped.append(f"center {center_id}: no resolvable entity")
                 continue
+            present = self._spo[c].get(knn, ())
             for neighbor_id, _score in lists[center_id].neighbors:
-                neighbor = resolve(neighbor_id)
-                if neighbor is None:
+                n = resolve(neighbor_id)
+                if n < 0:
                     skipped.append(f"neighbor {neighbor_id} of {center_id}: "
                                    "no resolvable entity")
-                elif neighbor is not center:  # entities are interned
-                    pairs.append((center, neighbor))
+                elif n != c and n not in present and (c, n) not in seen:
+                    seen.add((c, n))
+                    pairs.append((terms[c], terms[n]))
         return pairs, skipped
 
     def materialize_knn(self, lists: Mapping[str, NeighborList],
                         link: Mapping[str, str],
                         predicate: Term) -> MaterializeResult:
         """Insert the knn_edges as (center, predicate, neighbor) triples."""
-        pairs, skipped = self.knn_edges(lists, link)
+        pairs, skipped = self.knn_edges(lists, link, predicate)
         return MaterializeResult(
             sum(self.add(Triple(c, predicate, n)) for c, n in pairs), skipped)
 
-    def linked_entity(self, item: str, link: Mapping[str, str]) -> Term | None:
-        """The entity the link map gives for item, if it is a subject here."""
+    def _linked_id(self, item: str, link: Mapping[str, str]) -> int:
         target = link.get(item)
         i = -1 if target is None else self._id(iri(target))
-        return self._terms[i] if i in self._spo else None
+        return i if i in self._spo else -1
+
+    def linked_entity(self, item: str, link: Mapping[str, str]) -> Term | None:
+        """The entity the link map gives for item, if it is a subject here."""
+        i = self._linked_id(item, link)
+        return self._terms[i] if i >= 0 else None
 
 
 # -- N-Triples parsing / serialization -------------------------------------
@@ -338,6 +347,8 @@ def _parse_term(token: str) -> Term:
     if token.startswith("_:"):
         return blank(token[2:])
     m = _LITERAL_RE.fullmatch(token)  # as the line's pattern matched it
+    if m.group("dt") == "":
+        raise NTriplesError("empty IRI")
     return literal(_unescape(m.group("body")), m.group("lang"), m.group("dt"))
 
 

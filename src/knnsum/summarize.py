@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Collection, Mapping
+from typing import Callable, Collection, Mapping
 
 from .rdf import (Feature, PathFeature, Term, TripleStore, iri, term_key)
 from .similarity import (DEFAULT_K, NeighborList, k_nearest_neighbors,
@@ -62,39 +62,30 @@ def _feature_sort_key(wf: WeightedFeature) -> tuple:
             tuple(term_key(t) for t in wf.feature))
 
 
-class FeatureWeigher:
-    """Weighs the features an entity shares with its neighbor entities.
+def _weigh(store: TripleStore, e: Term, candidates: set[Term | None],
+           universe: set[Term], support: Callable[[Feature | PathFeature], int],
+           knn_predicate: Term, two_hop: bool) -> list[WeightedFeature]:
+    """Weighted features of e shared with at least one neighbor, sorted by
+    descending weight (ties: descending support, ascending feature).
 
-    Every summary and feature weighting goes through weigh(). Each
-    feature's global support |B| within the universe is counted once per
-    weigher, on first use (see TripleStore.support_counter).
+    e's neighbors are the candidates in the universe, e itself excluded.
+    support gives a feature's global support |B| over the universe (see
+    TripleStore.support_counter). knn edges are never a feature, at either
+    hop.
     """
-
-    def __init__(self, store: TripleStore, universe: set[Term],
-                 knn_predicate: Term):
-        self.store = store
-        self.universe = universe
-        self.knn_predicate = knn_predicate
-        self._global_support = store.support_counter(universe)
-
-    def weigh(self, e: Term, neighbors: set[Term],
-              two_hop: bool = False) -> list[WeightedFeature]:
-        """Weighted features of e shared with at least one neighbor, sorted
-        by descending weight (ties: descending support, ascending feature).
-        knn edges are never a feature, at either hop."""
-        excluded = (self.knn_predicate,)
-        if two_hop:
-            witnesses = self.store.shared_two_hop_paths(e, neighbors, excluded)
-        else:
-            witnesses = self.store.shared_features(e, neighbors, excluded)
-        size = len(self.universe)
-        out = []
-        for f, ws in witnesses.items():
-            a = len(ws)
-            b = self._global_support(f)
-            out.append(WeightedFeature(f, a, b, a * math.log(size / b)))
-        out.sort(key=_feature_sort_key)
-        return out
+    neighbors = (candidates & universe) - {e}
+    excluded = (knn_predicate,)
+    if two_hop:
+        witnesses = store.shared_two_hop_paths(e, neighbors, excluded)
+    else:
+        witnesses = store.shared_features(e, neighbors, excluded)
+    size = len(universe)
+    out = []
+    for f, ws in witnesses.items():
+        a, b = len(ws), support(f)
+        out.append(WeightedFeature(f, a, b, a * math.log(size / b)))
+    out.sort(key=_feature_sort_key)
+    return out
 
 
 def _knn_edge_weights(store: TripleStore, e: Term, universe: set[Term],
@@ -102,9 +93,9 @@ def _knn_edge_weights(store: TripleStore, e: Term, universe: set[Term],
                       two_hop: bool) -> list[WeightedFeature]:
     if e not in universe:
         raise EntityNotInUniverseError(f"entity not in universe: {e.lexical}")
-    neighbors = store.knn_neighbors(e, knn_predicate, type_filter)
-    return FeatureWeigher(store, universe, knn_predicate).weigh(
-        e, neighbors, two_hop)
+    return _weigh(store, e, store.knn_neighbors(e, knn_predicate, type_filter),
+                  universe, store.support_counter(universe), knn_predicate,
+                  two_hop)
 
 
 def feature_weights(store: TripleStore, e: Term, universe: set[Term],
@@ -130,11 +121,6 @@ def path_feature_weights(store: TripleStore, e: Term, universe: set[Term],
 NeighborSource = UsageMatrix | Mapping[str, NeighborList]
 
 
-def _usage_items(source: NeighborSource) -> Collection[str]:
-    """The items with usage data, as a collection with O(1) membership."""
-    return source.item_index if isinstance(source, UsageMatrix) else source
-
-
 def reverse_links(link: Mapping[str, str],
                   items: Collection[str]) -> dict[str, str]:
     """Entity IRI -> the smallest item among items that links to it."""
@@ -149,16 +135,19 @@ class SummaryContext:
     """What every summary over one store, link map and neighbor source
     shares, built once: the typed universe, the items with usage data,
     the reverse link index, each item's linked entity (resolved on first
-    use) and (in the weigher) each feature's global support."""
+    use), each feature's global support (counted on first use) and the
+    knn predicate its summaries exclude from features."""
 
     def __init__(self, store: TripleStore, source: NeighborSource,
                  link: Mapping[str, str], knn_predicate: Term,
                  type_filter: Term):
         self.universe = entity_universe(store, type_filter)
-        self.items = _usage_items(source)
+        self.items = (source.item_index if isinstance(source, UsageMatrix)
+                      else source)
         self.linked_item = reverse_links(link, self.items)
         self.linked_entity = cache(partial(store.linked_entity, link=link))
-        self.weigher = FeatureWeigher(store, self.universe, knn_predicate)
+        self.support = store.support_counter(self.universe)
+        self.knn_predicate = knn_predicate
 
 
 def _resolve_target(e: str, link: Mapping[str, str], store: TripleStore,
@@ -211,6 +200,6 @@ def summarize(store: TripleStore, source: NeighborSource,
     else:
         nl = neighbors_above_threshold(source, item_id, tau)
     linked = {context.linked_entity(item) for item, _score in nl.neighbors}
-    neighbors = (linked & context.universe) - {entity}
-    weighted = context.weigher.weigh(entity, neighbors, two_hop)
+    weighted = _weigh(store, entity, linked, context.universe, context.support,
+                      context.knn_predicate, two_hop)
     return Summary(entity, k, weighted[:n], STATUS_OK, mode)

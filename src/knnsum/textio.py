@@ -8,9 +8,14 @@ line with a line-numbered diagnostic, as it refuses any malformed line.
 
 from __future__ import annotations
 
-from typing import IO
+from typing import IO, NamedTuple
 
 NOT_UTF8 = "not valid UTF-8"
+
+
+class Diagnostic(NamedTuple):
+    line_no: int
+    reason: str
 
 
 def open_text(path: str) -> IO[str]:

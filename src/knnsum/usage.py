@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .textio import NOT_UTF8, undecodable
+from .textio import NOT_UTF8, Diagnostic, undecodable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,11 +68,6 @@ class RatingsFormat:
     def max_index(self) -> int:
         return max(c for c in (self.user_col, self.item_col, self.rating_col,
                                self.timestamp_col) if c is not None)
-
-
-class RejectedLine(NamedTuple):
-    line_no: int
-    reason: str
 
 
 class UsageMatrix:
@@ -156,7 +151,7 @@ def _sorted_codes(code: dict[str, int]) -> tuple[list[str], np.ndarray]:
 @dataclass
 class IngestResult:
     matrix: UsageMatrix
-    rejected: list[RejectedLine]
+    rejected: list[Diagnostic]
 
     @property
     def rejected_count(self) -> int:
@@ -172,31 +167,31 @@ def ingest_ratings(source: IO[str] | Iterable[str],
     were not UTF-8 (see textio) are skipped and reported as rejected-line
     diagnostics; they never abort ingestion.
     """
-    rejected: list[RejectedLine] = []
+    rejected: list[Diagnostic] = []
     matrix = UsageMatrix(_accepted_pairs(source, fmt or RatingsFormat(),
                                          rejected))
     return IngestResult(matrix, rejected)
 
 
 def _accepted_pairs(source: IO[str] | Iterable[str], fmt: RatingsFormat,
-                    rejected: list[RejectedLine]
+                    rejected: list[Diagnostic]
                     ) -> Iterator[tuple[str, str]]:
     need = fmt.max_index() + 1
     for line_no, raw in enumerate(source, start=1):
         if line_no == 1 and fmt.header:
             continue
         if undecodable(raw):
-            rejected.append(RejectedLine(line_no, NOT_UTF8))
+            rejected.append(Diagnostic(line_no, NOT_UTF8))
             continue
         fields = raw.rstrip("\r\n").split(fmt.delimiter)
         if len(fields) < need:
-            rejected.append(RejectedLine(
+            rejected.append(Diagnostic(
                 line_no, f"expected at least {need} columns, got {len(fields)}"))
             continue
         user = fields[fmt.user_col].strip()
         item = fields[fmt.item_col].strip()
         if not user or not item:
-            rejected.append(RejectedLine(line_no, "empty user or item id"))
+            rejected.append(Diagnostic(line_no, "empty user or item id"))
             continue
         yield user, item
 

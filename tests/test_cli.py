@@ -17,7 +17,7 @@ import knnsum
 from conftest import (FILM_TYPE, KNN_PRED, eight_film_pairs,
                       eight_film_triples, film_iri, write_eight_film_corpus)
 from knnsum.cli import main, matrix_digest, render_summary_structured
-from knnsum.similarity import all_pairs_knn
+from knnsum.similarity import NeighborList, all_pairs_knn
 from knnsum.rdf import iri
 from knnsum.summarize import summarize
 from knnsum.usage import RatingsFormat, UsageMatrix, ingest_ratings
@@ -56,6 +56,31 @@ def test_build_reports_unmatched_links(eight_film_corpus, capsys):
     out = capsys.readouterr().out
     assert "unmatched items: 1" in out
     assert "linked items: 7/8" in out
+
+
+def test_build_counts_knn_triples_by_the_materialize_rule(eight_film_corpus,
+                                                         capsys):
+    c = eight_film_corpus
+    knn = f"<{KNN_PRED}>"
+    with c.triples.open("a", encoding="utf-8") as fh:  # two edges already in
+        fh.write(f"<{film_iri('m1')}> {knn} <{film_iri('m2')}> .\n"
+                 f"<{film_iri('m5')}> {knn} <{film_iri('m6')}> .\n")
+    links = {**load_links(str(c.links)), "m4": film_iri("m3")}
+    del links["m8"]  # a neighbor of m5, m6 and m7 with no entity
+    c.links.write_text("".join(f"{i}\t{e}\n" for i, e in links.items()))
+    assert build(c) == 0
+    # cluster 1: M1->M3, M2->M1, M2->M3, M3->M1, M3->M2 (m4 adds only
+    # repeats and the self-loop M3->M3); cluster 2: M5->M7, M6->M5,
+    # M6->M7, M7->M5, M7->M6
+    assert "knn triples added: 10" in capsys.readouterr().out
+    lists = {center: NeighborList(center, [tuple(pair) for pair in pairs])
+             for center, pairs in json.loads(c.bundle.read_text())[
+                 "neighbors"].items()}  # the lists build counted
+    store, _diags = load_ntriples(c.triples.read_text().splitlines())
+    first = store.materialize_knn(lists, links, iri(KNN_PRED))
+    assert first.added == 10
+    assert any("m8" in message for message in first.skipped)
+    assert store.materialize_knn(lists, links, iri(KNN_PRED)).added == 0
 
 
 def test_build_zero_matched_links_fails(eight_film_corpus, capsys):

@@ -92,6 +92,24 @@ def test_empty_iri_is_diagnostic():
     assert len(diags) == 1
 
 
+def test_empty_datatype_is_diagnostic():
+    # "x"^^<> would write as "x", so as another literal
+    store, diags = load('<http://x/a> <http://x/p> "x" .\n'
+                        '<http://x/a> <http://x/p> "x"^^<> .\n')
+    assert diags == [(2, "empty IRI")]
+    out = io.StringIO()
+    write_ntriples(store, out)
+    assert load(out.getvalue())[0] == store
+
+
+@pytest.mark.parametrize("language, datatype", [
+    ("", None), (None, ""), ("", ""), ("en", "http://x/d"),
+])
+def test_literal_renders_as_no_other_literal(language, datatype):
+    with pytest.raises(ValueError):
+        literal("x", language, datatype)
+
+
 def test_literal_subject_rejected():
     with pytest.raises(Exception):
         parse_ntriples_line('"lit" <http://x/p> <http://x/b> .')
@@ -131,8 +149,9 @@ SUBJECTS = ["<http://x/a>", "<http://x/b>", "_:b0", "_:b1", "<>", '"lit"']
 PREDICATES = ["<http://x/p>", "<http://x/q>", "<>", "_:b0"]
 OBJECTS = [
     "<http://x/a>", "<http://x/b>", "_:b1", '"A"', '"\\u0041"',
-    '"\\U00000041"', '"A"@en', '"A"@en-GB', '"A"^^<http://x/dt>', '"t\\tb"',
-    '"café"', '"bad \\q"', '"\\uD800"', '"\\u12"', '"\\u+041"', "<>",
+    '"\\U00000041"', '"A"@en', '"A"@en-GB', '"A"^^<http://x/dt>', '"A"^^<>',
+    '"t\\tb"', '"café"', '"bad \\q"', '"\\uD800"', '"\\u12"', '"\\u+041"',
+    "<>",
 ]
 OTHER_LINES = ["", "   ", "# a comment", "<http://x/a> <http://x/p>",
                "<http://x/a> <http://x/p> <http://x/b>",
