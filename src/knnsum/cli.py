@@ -16,8 +16,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import IO, Mapping, Sequence, get_args, get_type_hints
 
-from .rdf import (DEFAULT_KNN_PREDICATE, TripleStore, iri, load_ntriples,
-                  term_to_ntriples)
+from .rdf import DEFAULT_KNN_PREDICATE, iri, load_ntriples, term_to_ntriples
 from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
                          format_neighbors_tsv)
 # Bound here, though no command calls it, so that the benchmark's traced
@@ -25,8 +24,8 @@ from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
 from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
                         Summary, SummaryContext, reverse_links, summarize)
-from .textio import NOT_UTF8, Diagnostic, open_text, undecodable
-from .usage import IngestResult, RatingsFormat, UsageMatrix, ingest_ratings
+from .textio import NOT_UTF8, open_text, undecodable
+from .usage import RatingsFormat, UsageMatrix, ingest_ratings
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -233,40 +232,34 @@ def _neighbor_list(center: str, pairs: object) -> NeighborList | None:
     return NeighborList(center, neighbors)
 
 
-def _load_bundle(cfg: PipelineConfig) -> tuple[dict, dict[str, NeighborList]]:
-    """The bundle at cfg.bundle and its neighbor lists; a file that is no
-    bundle, or holds a malformed neighbor list, is an input error."""
-    try:
+def _load_bundle(cfg: PipelineConfig) -> dict[str, NeighborList]:
+    """The neighbor lists of the bundle at cfg.bundle. A file that is no
+    bundle, holds a malformed neighbor list, or was built with other
+    neighborhood parameters than cfg names is an input error."""
+    with _reading("bundle", cfg.bundle,
+                  f"bundle {cfg.bundle!r} is not valid JSON: "):
         bundle = read_bundle(cfg.bundle)
-    except OSError as exc:
-        raise _InputError(f"cannot read bundle {cfg.bundle!r}: {exc}")
-    except ValueError as exc:  # truncated, not JSON, not UTF-8
-        raise _InputError(f"bundle {cfg.bundle!r} is not valid JSON: {exc}")
     if not isinstance(bundle, dict) or not isinstance(
             bundle.get("neighbors"), dict):
-        raise _InputError(f"bundle {cfg.bundle!r} has no neighbor lists")
+        raise _CommandError(f"bundle {cfg.bundle!r} has no neighbor lists")
     lists = {}
     for center, pairs in bundle["neighbors"].items():
         lists[center] = _neighbor_list(center, pairs)
         if lists[center] is None:
-            raise _InputError(
+            raise _CommandError(
                 f"bundle {cfg.bundle!r} has a malformed neighbor list for "
                 f"{center!r}: expected a list of [item, score] pairs, with "
                 f"scores in [0, 1]")
-    return bundle, lists
-
-
-def _check_bundle_parameters(bundle: dict, cfg: PipelineConfig) -> None:
-    """Refuse a bundle built with other neighborhood parameters."""
     wanted = [("mode", cfg.mode)]
     wanted += ([("k", cfg.k)] if cfg.mode == FIXED_K
                else [("threshold", cfg.threshold)])
     for name, value in wanted:
         if bundle.get(name) != value:
-            raise _InputError(
+            raise _CommandError(
                 f"bundle {cfg.bundle!r} was built with {name} = "
                 f"{bundle.get(name)!r}, but the config has {name} = "
                 f"{value!r}; rebuild the bundle")
+    return lists
 
 
 # -- rendering ----------------------------------------------------------------
@@ -304,43 +297,35 @@ def render_summary_structured(summary: Summary) -> str:
 
 # -- commands -----------------------------------------------------------------
 
-def _load_ratings(cfg: PipelineConfig) -> IngestResult:
+class _CommandError(Exception):
+    """A failed command: main prints ``error: MESSAGE`` and returns code."""
+
+    def __init__(self, message: str, code: int = EXIT_INPUT):
+        super().__init__(message)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _reading(what: str, path: str, malformed: str = ""):
+    """Report the block's failure to read the file at path as a command
+    error: one it cannot open or read (OSError) names what and path; one
+    it finds malformed (ValueError, or RecursionError for JSON nested too
+    deep) gives malformed, then the error's own message."""
     try:
-        with open_text(cfg.ratings) as fh:
-            return ingest_ratings(fh, cfg.ratings_format())
+        yield
     except OSError as exc:
-        raise _InputError(f"cannot read ratings file {cfg.ratings!r}: {exc}")
-
-
-def _load_graph(cfg: PipelineConfig) -> tuple[TripleStore, list[Diagnostic]]:
-    try:
-        with open_text(cfg.triples) as fh:
-            return load_ntriples(fh)
-    except OSError as exc:
-        raise _InputError(f"cannot read triples file {cfg.triples!r}: {exc}")
-
-
-def _load_links(cfg: PipelineConfig, missing_ok: bool) -> dict[str, str]:
-    """The link map; a malformed one is an input error, a missing one too
-    unless missing_ok."""
-    try:
-        return load_links(cfg.links)
-    except OSError as exc:
-        if missing_ok:
-            return {}
-        raise _InputError(f"cannot read link map {cfg.links!r}: {exc}")
-    except ValueError as exc:
-        raise _InputError(str(exc))
-
-
-class _InputError(Exception):
-    pass
+        raise _CommandError(f"cannot read {what} {path!r}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise _CommandError(f"{malformed}{exc}") from None
 
 
 def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
-    ingest = _load_ratings(cfg)
-    store, triple_diags = _load_graph(cfg)
-    links = _load_links(cfg, missing_ok=False)
+    with _reading("ratings file", cfg.ratings), open_text(cfg.ratings) as fh:
+        ingest = ingest_ratings(fh, cfg.ratings_format())
+    with _reading("triples file", cfg.triples), open_text(cfg.triples) as fh:
+        store, triple_diags = load_ntriples(fh)
+    with _reading("link map", cfg.links):
+        links = load_links(cfg.links)
     matrix = ingest.matrix
     lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
                           tau=cfg.threshold)
@@ -351,9 +336,7 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
                  if store.linked_entity(item, links) is None]
     matched = len(matrix.items) - len(unmatched)
     if matched == 0:
-        print("error: no usage item could be linked to a store entity",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise _CommandError("no usage item could be linked to a store entity")
     diagnostics = {
         "rejected_ratings_lines": [[ln, reason] for ln, reason in ingest.rejected],
         "malformed_triple_lines": [[ln, reason] for ln, reason in triple_diags],
@@ -363,7 +346,7 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     try:
         write_bundle(cfg.bundle, matrix, lists, cfg, knn_added, diagnostics)
     except OSError as exc:
-        raise _InputError(f"cannot write bundle {cfg.bundle!r}: {exc}")
+        raise _CommandError(f"cannot write bundle {cfg.bundle!r}: {exc}")
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
     log.write(f"rejected ratings lines: {ingest.rejected_count}\n")
@@ -377,15 +360,18 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
 
 
 def cmd_neighbors(cfg: PipelineConfig, target: str) -> int:
-    _bundle, lists = _load_bundle(cfg)
+    lists = _load_bundle(cfg)
     item_id = target
     if item_id not in lists:
-        # maybe an entity iri: resolve back through the link map
-        links = _load_links(cfg, missing_ok=True)
+        # maybe an entity iri: resolve back through the link map, which
+        # resolves nothing if it cannot be read
+        links = {}
+        with _reading("link map", cfg.links), contextlib.suppress(OSError):
+            links = load_links(cfg.links)
         item_id = reverse_links(links, lists).get(target)
         if item_id is None:
-            print(f"error: unknown item or entity: {target!r}", file=sys.stderr)
-            return EXIT_RESOLUTION
+            raise _CommandError(f"unknown item or entity: {target!r}",
+                                EXIT_RESOLUTION)
     with _open_out(cfg) as out:
         out.write(format_neighbors_tsv(lists[item_id]))
     return EXIT_OK
@@ -393,10 +379,13 @@ def cmd_neighbors(cfg: PipelineConfig, target: str) -> int:
 
 def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                   all_entities: bool) -> int:
-    bundle, lists = _load_bundle(cfg)
-    _check_bundle_parameters(bundle, cfg)
-    store, _diags = _load_graph(cfg)
-    links = _load_links(cfg, missing_ok=False)
+    if not all_entities and not targets:
+        raise _CommandError("no entities requested (pass ids or --all)")
+    lists = _load_bundle(cfg)
+    with _reading("triples file", cfg.triples), open_text(cfg.triples) as fh:
+        store, _diags = load_ntriples(fh)
+    with _reading("link map", cfg.links):
+        links = load_links(cfg.links)
     knn_predicate = iri(cfg.knn_predicate)
     type_filter = iri(cfg.type_filter)
     context = SummaryContext(store, lists, links, knn_predicate, type_filter)
@@ -462,7 +451,7 @@ def _open_out(cfg: PipelineConfig) -> contextlib.AbstractContextManager:
     try:
         return open(cfg.out, "w", encoding="utf-8")
     except OSError as exc:
-        raise _InputError(f"cannot write output {cfg.out!r}: {exc}")
+        raise _CommandError(f"cannot write output {cfg.out!r}: {exc}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -482,39 +471,35 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sum.add_argument("--all", action="store_true",
                        help="summarize every entity in the universe")
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except _CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = build_config(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+        raise _CommandError(str(exc)) from None
+    # where the command writes: build logs to stdout, whatever --out says
+    out = cfg.out if args.command != "build" and cfg.out else "-"
     try:
-        code = _run(args, cfg)
-        # flushed here, so that a reader gone early is seen below and not
-        # at interpreter exit
+        if args.command == "build":
+            code = cmd_build(cfg, sys.stdout)
+        elif args.command == "neighbors":
+            code = cmd_neighbors(cfg, args.target)
+        else:
+            code = cmd_summarize(cfg, args.targets, args.all)
+        # flushed here, so that a failed write is seen below and not at
+        # interpreter exit
         sys.stdout.flush()
         return code
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BrokenPipeError:
-        # stdout's reader has gone (as in `| head`): stop quietly, and send
-        # what is still buffered for stdout to devnull at exit
-        with contextlib.suppress(OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_INPUT
-
-
-def _run(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    if args.command == "build":
-        return cmd_build(cfg, sys.stdout)
-    if args.command == "neighbors":
-        return cmd_neighbors(cfg, args.target)
-    if args.command == "summarize":
-        if not args.all and not args.targets:
-            print("error: no entities requested (pass ids or --all)",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        return cmd_summarize(cfg, args.targets, args.all)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    except OSError as exc:  # a write to the output failed
+        if out == "-":  # what is still buffered goes to devnull at exit
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_INPUT  # the reader has gone (as in `| head`): quietly
+        raise _CommandError(f"cannot write output {out!r}: {exc}") from None

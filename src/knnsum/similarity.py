@@ -127,6 +127,8 @@ class _Kernel:
         import numpy as np
 
         m, xlx, total = self.m, self.xlx, self.total
+        if k is not None:  # no list holds more than every other item
+            k = min(k, len(m.items))
         gram = m.by_item[start:stop] @ m.by_user
         rows = np.repeat(np.arange(start, stop), np.diff(gram.indptr))
         cols, k11 = gram.indices, gram.data

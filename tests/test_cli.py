@@ -83,6 +83,16 @@ def test_build_counts_knn_triples_by_the_materialize_rule(eight_film_corpus,
     assert store.materialize_knn(lists, links, iri(KNN_PRED)).added == 0
 
 
+def test_build_k_beyond_item_count_keeps_every_co_rated_item(
+        eight_film_corpus, capsys):
+    assert build(eight_film_corpus, "--k", "8") == 0  # the item count
+    lists = json.loads(eight_film_corpus.bundle.read_text())["neighbors"]
+    assert build(eight_film_corpus, "--k", "100000000000000000000") == 0
+    bundle = json.loads(eight_film_corpus.bundle.read_text())
+    assert bundle["k"] == 10**20
+    assert bundle["neighbors"] == lists
+
+
 def test_build_zero_matched_links_fails(eight_film_corpus, capsys):
     eight_film_corpus.links.write_text("zz\thttp://example.org/nowhere\n")
     assert build(eight_film_corpus) == 1
@@ -500,17 +510,22 @@ def test_summarize_reads_no_ratings_file(eight_film_corpus, capsys):
     assert capsys.readouterr().out == before
 
 
-@pytest.mark.parametrize("built, asked, field", [
-    ((), ("--k", "5"), "k"),
-    ((), ("--threshold", "0.5"), "mode"),
-    (("--threshold", "0.5"), (), "mode"),
-    (("--threshold", "0.5"), ("--threshold", "0.7"), "threshold"),
-])
+@pytest.mark.parametrize("command, built, asked, field", [
+    # summarize's cases keep the ids they had before neighbors was checked
+    pytest.param(command, built, asked, field,
+                 id=f"{prefix}built{i}-asked{i}-{field}")
+    for command, prefix in (("summarize", ""), ("neighbors", "neighbors-"))
+    for i, (built, asked, field) in enumerate([
+        ((), ("--k", "5"), "k"),
+        ((), ("--threshold", "0.5"), "mode"),
+        (("--threshold", "0.5"), (), "mode"),
+        (("--threshold", "0.5"), ("--threshold", "0.7"), "threshold"),
+    ])])
 def test_summarize_refuses_bundle_built_with_other_parameters(
-        eight_film_corpus, capsys, built, asked, field):
+        eight_film_corpus, capsys, command, built, asked, field):
     assert build(eight_film_corpus, *built) == 0
     capsys.readouterr()
-    assert main(["summarize", "--config", str(eight_film_corpus.config),
+    assert main([command, "--config", str(eight_film_corpus.config),
                  *asked, "m1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -520,24 +535,51 @@ def test_summarize_refuses_bundle_built_with_other_parameters(
 
 @pytest.mark.parametrize("command", ["neighbors", "summarize"])
 @pytest.mark.parametrize("damage", ["truncated", "not json", "not utf-8",
-                                    "no neighbors", "not an object"])
+                                    "no neighbors", "not an object",
+                                    "nested arrays", "nested objects"])
 def test_damaged_bundle_is_refused(eight_film_corpus, capsys, command, damage):
     build(eight_film_corpus)
     bundle = eight_film_corpus.bundle
     text = bundle.read_bytes()
-    bundle.write_bytes({
-        "truncated": text[:len(text) // 2],
-        "not json": b"neighbors: m1 m2\n",
-        "not utf-8": b'{"neighbors": {"\xff": []}}',
-        "no neighbors": json.dumps({"k": 20, "mode": "fixed-k"}).encode(),
-        "not an object": b"[1, 2]",
-    }[damage])
+    data, reason = {
+        "truncated": (text[:len(text) // 2], "is not valid JSON"),
+        "not json": (b"neighbors: m1 m2\n", "is not valid JSON"),
+        "not utf-8": (b'{"neighbors": {"\xff": []}}', "is not valid JSON"),
+        "no neighbors": (json.dumps({"k": 20, "mode": "fixed-k"}).encode(),
+                         "has no neighbor lists"),
+        "not an object": (b"[1, 2]", "has no neighbor lists"),
+        # past any recursion limit, whole or under "neighbors"
+        "nested arrays": (b"[" * 200_000, "is not valid JSON"),
+        "nested objects": (b'{"neighbors": ' + b'{"a": ' * 200_000,
+                           "is not valid JSON"),
+    }[damage]
+    bundle.write_bytes(data)
     capsys.readouterr()
     assert main([command, "--config", str(eight_film_corpus.config),
                  "m1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: bundle {str(bundle)!r}")
+    assert captured.err.startswith(f"error: bundle {str(bundle)!r} {reason}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command, stdout", [
+    (["summarize", "--out", "/dev/full", "m1"], os.devnull),
+    (["neighbors", "--out", "/dev/full", "m1"], os.devnull),
+    (["summarize", "--all"], "/dev/full")],
+    ids=["summarize --out", "neighbors --out", "summarize stdout"])
+def test_failed_output_write_is_one_error_line(eight_film_corpus, capsys,
+                                               command, stdout):
+    build(eight_film_corpus)
+    with open(stdout, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knnsum", command[0],
+             "--config", str(eight_film_corpus.config), *command[1:]],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output ")
+    assert proc.stderr.count("\n") == 1  # no traceback, no "Exception ignored"
 
 
 def test_two_hop_never_follows_knn_edges(eight_film_corpus, capsys):

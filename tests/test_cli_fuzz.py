@@ -2,8 +2,10 @@
 
 Each example writes a ratings file, a graph and a link map (each the
 8-film fixture's, a byte-edited copy of it, or arbitrary bytes), runs
-`build`, then keeps, damages or replaces the bundle it wrote, and runs
-`neighbors` and `summarize`, on fixed targets and on arbitrary text
+`build` (with k = 20, a threshold, or a k beyond any item count), then
+keeps, damages or replaces the bundle it wrote (a replacement may be
+JSON nested past the recursion limit), and runs `neighbors` and
+`summarize`, on fixed targets and on arbitrary text
 (the empty string included). Every command must return 0, 1 or 2 and
 raise nothing. Standard output is a strict UTF-8 stream, as a terminal or
 pipe is, so text that cannot be printed also counts as a crash.
@@ -42,6 +44,9 @@ json_bundles = st.dictionaries(st.text(max_size=3), json_values,
     lambda neighbors: json.dumps({"mode": "fixed-k", "k": 20,
                                   "threshold": None,
                                   "neighbors": neighbors}).encode())
+# JSON nested past any recursion limit, whole or under "neighbors"
+deep_bundles = st.sampled_from([b"", b'{"neighbors": ']).map(
+    lambda head: head + b'{"a": [' * 100_000)
 # command-line targets: any text, the empty string always among them
 targets = st.lists(st.text(max_size=12), max_size=2).map(lambda t: ["", *t])
 
@@ -72,8 +77,9 @@ def fixture_bytes(tmp_path_factory) -> dict[str, bytes]:
 
 
 @given(inputs=st.tuples(changes, changes, changes),
-       bundle=st.one_of(changes, json_bundles),
-       mode=st.sampled_from([[], ["--threshold", "0.5"]]),
+       bundle=st.one_of(changes, json_bundles, deep_bundles),
+       mode=st.sampled_from([[], ["--threshold", "0.5"],
+                             ["--k", "100000000000000000000"]]),
        texts=targets)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])

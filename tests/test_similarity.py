@@ -135,6 +135,14 @@ def test_knn_k_exceeding_candidates_returns_all_positive():
     assert len(nl) == 4  # its 4 cluster mates only
 
 
+def test_knn_k_beyond_item_count_is_item_count():
+    m = planted_clusters()
+    for item in sorted(m.items):
+        assert k_nearest_neighbors(m, item, 10**20) == k_nearest_neighbors(
+            m, item, len(m.items))
+    assert all_pairs_knn(m, 10**20) == all_pairs_knn(m, len(m.items))
+
+
 def test_knn_prefix_property():
     m = planted_clusters()
     small = k_nearest_neighbors(m, "c1i0", 2)
