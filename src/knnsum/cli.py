@@ -14,9 +14,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import IO, Mapping, Sequence, get_args, get_type_hints
+from functools import partial
+from typing import (IO, Iterable, Mapping, Sequence, get_args,
+                    get_type_hints)
 
-from .rdf import DEFAULT_KNN_PREDICATE, iri, load_ntriples, term_to_ntriples
+from .rdf import (DEFAULT_KNN_PREDICATE, TripleStore, iri, load_ntriples,
+                  term_to_ntriples)
 from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
                          format_neighbors_tsv)
 # Bound here, though no command calls it, so that the benchmark's traced
@@ -176,37 +179,89 @@ def matrix_digest(matrix: UsageMatrix) -> str:
 
 # -- bundle ------------------------------------------------------------------
 
+# The bundle layout that build writes and the lookups read. Version 2 adds
+# format_version itself, the graph's fingerprint and the snapshot's.
+FORMAT_VERSION = 2
+
+
+def _snapshot_path(bundle: str) -> str:
+    """Where the graph snapshot of the bundle at the given path lives."""
+    return f"{bundle}.graph"
+
+
+def _fingerprint(chunks: Iterable[bytes]) -> dict:
+    """The size and sha256 of the bytes the chunks make up."""
+    h, size = hashlib.sha256(), 0
+    for chunk in chunks:
+        h.update(chunk)
+        size += len(chunk)
+    return {"sha256": h.hexdigest(), "size": size}
+
+
+def _file_fingerprint(path: str) -> dict:
+    """The size and sha256 of the file at path, read 64 KiB at a time."""
+    with open(path, "rb") as fh:
+        return _fingerprint(iter(partial(fh.read, 1 << 16), b""))
+
+
 def write_bundle(path: str, matrix: UsageMatrix,
                  lists: Mapping[str, NeighborList], cfg: PipelineConfig,
-                 knn_added: int, diagnostics: dict) -> None:
-    payload = {
-        "matrix_digest": matrix_digest(matrix),
-        "users": len(matrix.users),
-        "items": len(matrix.items),
-        "k": cfg.k,
-        "mode": cfg.mode,
-        "threshold": cfg.threshold,
-        "knn_predicate": cfg.knn_predicate,
-        "type_filter": cfg.type_filter,
-        "knn_triples_added": knn_added,
-        "diagnostics": diagnostics,
-        "neighbors": {center: [[item, score] for item, score in nl.neighbors]
-                      for center, nl in lists.items()},
-    }
-    # A temporary file next to the bundle replaces it only once complete
-    # and on disk, so a failed write or a crash leaves the previous bundle
-    # as it was.
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+                 knn_added: int, diagnostics: dict, store: TripleStore,
+                 graph: dict) -> None:
+    """Write the bundle at path and the store's snapshot beside it; graph is
+    the _file_fingerprint of the graph the store was loaded from."""
+    # Each file goes to a temporary file beside it, and is synced to disk.
+    # Only once both are complete does each replace its previous file, the
+    # snapshot first, so a failed write leaves the previous pair as it was,
+    # and a crash between the two renames leaves a bundle whose snapshot
+    # fingerprint does not match, which the lookups refuse.
+    staged: list[tuple[str, str, str]] = []  # what, path, temporary file
+
+    def stage(what: str, target: str, mode: str, write) -> None:
+        tmp = f"{target}.{os.getpid()}.tmp"
+        staged.append((what, target, tmp))
+        with _writing(what, target), open(
+                tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+
+    def write_json(fh: IO[str]) -> None:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+
+    try:
+        data = store.snapshot()
+        snapshot = _fingerprint([data])
+        stage("graph snapshot", _snapshot_path(path), "wb",
+              lambda fh: fh.write(data))
+        del data  # not held while the bundle is made and written
+        payload = {
+            "format_version": FORMAT_VERSION,
+            "graph": graph,
+            "snapshot": snapshot,
+            "matrix_digest": matrix_digest(matrix),
+            "users": len(matrix.users),
+            "items": len(matrix.items),
+            "k": cfg.k,
+            "mode": cfg.mode,
+            "threshold": cfg.threshold,
+            "knn_predicate": cfg.knn_predicate,
+            "type_filter": cfg.type_filter,
+            "knn_triples_added": knn_added,
+            "diagnostics": diagnostics,
+            "neighbors": {center: [[item, score]
+                                   for item, score in nl.neighbors]
+                          for center, nl in lists.items()},
+        }
+        stage("bundle", path, "w", write_json)
+        for what, target, tmp in staged:
+            with _writing(what, target):
+                os.replace(tmp, target)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for _what, _target, tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
@@ -232,16 +287,22 @@ def _neighbor_list(center: str, pairs: object) -> NeighborList | None:
     return NeighborList(center, neighbors)
 
 
-def _load_bundle(cfg: PipelineConfig) -> dict[str, NeighborList]:
-    """The neighbor lists of the bundle at cfg.bundle. A file that is no
-    bundle, holds a malformed neighbor list, or was built with other
-    neighborhood parameters than cfg names is an input error."""
+def _load_bundle(cfg: PipelineConfig) -> tuple[dict, dict[str, NeighborList]]:
+    """The bundle at cfg.bundle and its neighbor lists. A file that is no
+    bundle, has another format_version, holds a malformed neighbor list, or
+    was built with other neighborhood parameters than cfg names is an input
+    error."""
     with _reading("bundle", cfg.bundle,
                   f"bundle {cfg.bundle!r} is not valid JSON: "):
         bundle = read_bundle(cfg.bundle)
     if not isinstance(bundle, dict) or not isinstance(
             bundle.get("neighbors"), dict):
         raise _CommandError(f"bundle {cfg.bundle!r} has no neighbor lists")
+    if bundle.get("format_version") != FORMAT_VERSION:
+        raise _CommandError(
+            f"bundle {cfg.bundle!r} has format_version = "
+            f"{bundle.get('format_version')!r}, but this knnsum reads "
+            f"format_version = {FORMAT_VERSION}; rebuild the bundle")
     lists = {}
     for center, pairs in bundle["neighbors"].items():
         lists[center] = _neighbor_list(center, pairs)
@@ -259,7 +320,38 @@ def _load_bundle(cfg: PipelineConfig) -> dict[str, NeighborList]:
                 f"bundle {cfg.bundle!r} was built with {name} = "
                 f"{bundle.get(name)!r}, but the config has {name} = "
                 f"{value!r}; rebuild the bundle")
-    return lists
+    return bundle, lists
+
+
+def _check_fingerprint(cfg: PipelineConfig, bundle: dict, name: str,
+                       path: str, found: dict) -> None:
+    """Refuse the bundle unless its fingerprint field name records the
+    size and sha256 found for the file at path."""
+    recorded = bundle.get(name)
+    for key in ("size", "sha256"):
+        want = recorded.get(key) if isinstance(recorded, dict) else None
+        if want != found[key]:
+            raise _CommandError(
+                f"bundle {cfg.bundle!r} records {name}.{key} = {want!r}, but "
+                f"{path!r} has {key} = {found[key]!r}; rebuild the bundle")
+
+
+def _load_graph(cfg: PipelineConfig, bundle: dict) -> TripleStore:
+    """The store in the bundle's graph snapshot. The graph at cfg.triples
+    and the snapshot must match the fingerprints the bundle records; the
+    snapshot's is checked before a byte of it is unmarshalled."""
+    with _reading("triples file", cfg.triples):
+        graph = _file_fingerprint(cfg.triples)
+    _check_fingerprint(cfg, bundle, "graph", cfg.triples, graph)
+    path = _snapshot_path(cfg.bundle)
+    with _reading("graph snapshot", path), open(path, "rb") as fh:
+        data = fh.read()
+    _check_fingerprint(cfg, bundle, "snapshot", path, _fingerprint([data]))
+    try:
+        return TripleStore.from_snapshot(data)
+    except ValueError as exc:
+        raise _CommandError(
+            f"graph snapshot {path!r} {exc}; rebuild the bundle") from None
 
 
 # -- rendering ----------------------------------------------------------------
@@ -319,11 +411,24 @@ def _reading(what: str, path: str, malformed: str = ""):
         raise _CommandError(f"{malformed}{exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(what: str, path: str):
+    """Report the block's failure to write the file at path as a command
+    error naming what and path; not the temporary file it was writing."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CommandError(f"cannot write {what} {path!r}: "
+                            f"[Errno {exc.errno}] {exc.strerror}") from None
+
+
 def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     with _reading("ratings file", cfg.ratings), open_text(cfg.ratings) as fh:
         ingest = ingest_ratings(fh, cfg.ratings_format())
-    with _reading("triples file", cfg.triples), open_text(cfg.triples) as fh:
-        store, triple_diags = load_ntriples(fh)
+    with _reading("triples file", cfg.triples):
+        graph = _file_fingerprint(cfg.triples)
+        with open_text(cfg.triples) as fh:
+            store, triple_diags = load_ntriples(fh)
     with _reading("link map", cfg.links):
         links = load_links(cfg.links)
     matrix = ingest.matrix
@@ -343,10 +448,8 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
         "unmatched_items": unmatched,
         "skipped_links": skipped,
     }
-    try:
-        write_bundle(cfg.bundle, matrix, lists, cfg, knn_added, diagnostics)
-    except OSError as exc:
-        raise _CommandError(f"cannot write bundle {cfg.bundle!r}: {exc}")
+    write_bundle(cfg.bundle, matrix, lists, cfg, knn_added, diagnostics,
+                 store, graph)
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
     log.write(f"rejected ratings lines: {ingest.rejected_count}\n")
@@ -360,13 +463,10 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
 
 
 def cmd_neighbors(cfg: PipelineConfig, target: str) -> int:
-    lists = _load_bundle(cfg)
+    _bundle, lists = _load_bundle(cfg)
     item_id = target
-    if item_id not in lists:
-        # maybe an entity iri: resolve back through the link map, which
-        # resolves nothing if it cannot be read
-        links = {}
-        with _reading("link map", cfg.links), contextlib.suppress(OSError):
+    if item_id not in lists:  # maybe an entity iri: back through the links
+        with _reading("link map", cfg.links):
             links = load_links(cfg.links)
         item_id = reverse_links(links, lists).get(target)
         if item_id is None:
@@ -381,9 +481,8 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                   all_entities: bool) -> int:
     if not all_entities and not targets:
         raise _CommandError("no entities requested (pass ids or --all)")
-    lists = _load_bundle(cfg)
-    with _reading("triples file", cfg.triples), open_text(cfg.triples) as fh:
-        store, _diags = load_ntriples(fh)
+    bundle, lists = _load_bundle(cfg)
+    store = _load_graph(cfg, bundle)
     with _reading("link map", cfg.links):
         links = load_links(cfg.links)
     knn_predicate = iri(cfg.knn_predicate)

@@ -9,8 +9,11 @@ rdf:type. Every method takes and returns Terms.
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import marshal
 import re
+import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
@@ -92,6 +95,27 @@ def term_key(t: Term) -> tuple[str, str, str, str]:
     return (t.kind, t.lexical, t.language or "", t.datatype or "")
 
 
+# What a snapshot records of the process that wrote it, as (field, value)
+# pairs: the marshal module's format and the Python version. A snapshot
+# from another of either is refused, not read.
+SNAPSHOT_HEADER = (("marshal_version", marshal.version),
+                   ("python_version", "%d.%d" % sys.version_info[:2]))
+
+
+@contextlib.contextmanager
+def _no_cycle_collection():
+    """Cycle collection off for the block. Loading or snapshotting a store
+    makes no reference cycles, so collecting during it would only rescan
+    the store's indexes (a quarter of a large N-Triples load)."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 class MaterializeResult(NamedTuple):
     added: int
     skipped: list[str]
@@ -144,6 +168,41 @@ class TripleStore:
 
     def __len__(self) -> int:
         return self._size
+
+    def snapshot(self) -> bytes:
+        """The store as bytes that from_snapshot reads back: SNAPSHOT_HEADER,
+        the terms by id as (kind, lexical, language, datatype) tuples, both
+        indexes and the size. marshal format 2 writes no back-references,
+        which depend on reference counts, so a store built from the same
+        input always gives the same bytes."""
+        with _no_cycle_collection():
+            terms = [(t.kind, t.lexical, t.language, t.datatype)
+                     for t in self._terms]
+            return marshal.dumps(
+                (SNAPSHOT_HEADER, terms, self._spo, self._pos, self._size), 2)
+
+    @classmethod
+    def from_snapshot(cls, data: bytes) -> TripleStore:
+        """The store whose snapshot() data is. Every term is rebuilt, and so
+        checked, by the Term constructor. A header other than this
+        process's SNAPSHOT_HEADER is a ValueError naming the field.
+        marshal is not safe on damaged bytes: check data's integrity first."""
+        kinds = {IRI: IRI, LITERAL: LITERAL, BLANK: BLANK}  # one str each
+        store = cls()
+        with _no_cycle_collection():
+            header, terms, store._spo, store._pos, store._size = (
+                marshal.loads(data))
+            found = dict(header)
+            for name, value in SNAPSHOT_HEADER:
+                if found.get(name) != value:
+                    raise ValueError(
+                        f"was written with {name} = {found.get(name)!r}, "
+                        f"but this process has {name} = {value!r}")
+            store._terms = [Term(kinds.get(kind, kind), lexical, language,
+                                 datatype)
+                            for kind, lexical, language, datatype in terms]
+            store._ids = {t: i for i, t in enumerate(store._terms)}
+        return store
 
     def __iter__(self):
         t = self._terms
@@ -377,11 +436,7 @@ def load_ntriples(source: IO[str] | Iterable[str]
         except NTriplesError as exc:
             return str(exc)
 
-    # The load makes no reference cycles, so cycle collection during it
-    # would only rescan the growing indexes (a quarter of a large load).
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _no_cycle_collection():
         for line_no, line in enumerate(source, start=1):
             stripped = line.strip()
             if undecodable(line):
@@ -399,9 +454,6 @@ def load_ntriples(source: IO[str] | Iterable[str]
                 diagnostics.append(Diagnostic(line_no, reason))
             else:
                 store._add(*ids)
-    finally:
-        if collecting:
-            gc.enable()
     return store, diagnostics
 
 

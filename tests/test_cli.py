@@ -3,9 +3,11 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import marshal
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 
 import knnsum
 
-from conftest import (FILM_TYPE, KNN_PRED, eight_film_pairs,
+from conftest import (EX, FILM_TYPE, KNN_PRED, eight_film_pairs,
                       eight_film_triples, film_iri, write_eight_film_corpus)
 from knnsum.cli import main, matrix_digest, render_summary_structured
 from knnsum.similarity import NeighborList, all_pairs_knn
@@ -25,10 +27,16 @@ from knnsum.rdf import load_ntriples
 from knnsum.cli import load_links
 
 IN_CLUSTER_SCORE = 1 - 1 / (1 + 16 * math.log(2))
+EXTRA_TRIPLE = f"<{film_iri('m1')}> <{EX}p/award> <{EX}v/a1> .\n"
 
 
 def build(corpus, *extra):
     return main(["build", "--config", str(corpus.config), *extra])
+
+
+def snapshot_of(corpus) -> Path:
+    """The graph snapshot that build writes beside the corpus's bundle."""
+    return corpus.bundle.with_name(corpus.bundle.name + ".graph")
 
 
 def test_build_reports_counts(eight_film_corpus, capsys):
@@ -116,6 +124,23 @@ def test_neighbors_accepts_entity_iri(eight_film_corpus, capsys):
     capsys.readouterr()
     assert main(["neighbors", "--config", str(eight_film_corpus.config),
                  film_iri("m1")]) == 0
+    assert "m2" in capsys.readouterr().out
+
+
+def test_neighbors_iri_names_an_unreadable_link_map(eight_film_corpus,
+                                                    capsys):
+    build(eight_film_corpus)
+    links = str(eight_film_corpus.links)
+    eight_film_corpus.links.unlink()
+    capsys.readouterr()
+    cfg = ["--config", str(eight_film_corpus.config)]
+    assert main(["neighbors", *cfg, film_iri("m1")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read link map {links!r}: [Errno "
+                            f"{errno.ENOENT}] No such file or directory: "
+                            f"{links!r}\n")
+    assert main(["neighbors", *cfg, "m1"]) == 0  # an item id needs no links
     assert "m2" in capsys.readouterr().out
 
 
@@ -280,19 +305,22 @@ def test_threshold_build_identical_across_worker_counts(tmp_path, capsys):
         f"<{FILM_TYPE}> .\n" for f in films))
     (tmp_path / "links.tsv").write_text(
         "".join(f"{f}\t{film_iri(f)}\n" for f in films))
-    bundles = []
-    for workers in ("1", "2"):
-        bundle = tmp_path / f"bundle-w{workers}.json"
-        assert main(["build", "--ratings", str(tmp_path / "ratings.dat"),
-                     "--rating-col", "2",
-                     "--triples", str(tmp_path / "graph.nt"),
-                     "--links", str(tmp_path / "links.tsv"),
-                     "--type-filter", FILM_TYPE, "--bundle", str(bundle),
-                     "--threshold", "0.5", "--workers", workers]) == 0
-        bundles.append(bundle.read_bytes())
+    outputs = set()  # (bundle, snapshot) of two builds per worker count
+    for run in ("a", "b"):
+        for workers in ("1", "2"):
+            bundle = tmp_path / f"bundle-{run}-w{workers}.json"
+            assert main(["build", "--ratings", str(tmp_path / "ratings.dat"),
+                         "--rating-col", "2",
+                         "--triples", str(tmp_path / "graph.nt"),
+                         "--links", str(tmp_path / "links.tsv"),
+                         "--type-filter", FILM_TYPE, "--bundle", str(bundle),
+                         "--threshold", "0.5", "--workers", workers]) == 0
+            outputs.add((bundle.read_bytes(),
+                         Path(f"{bundle}.graph").read_bytes()))
     capsys.readouterr()
-    assert bundles[0] == bundles[1]
-    assert sum(map(len, json.loads(bundles[0])["neighbors"].values())) > 0
+    assert len(outputs) == 1
+    [(bundle, _snapshot)] = outputs
+    assert sum(map(len, json.loads(bundle)["neighbors"].values())) > 0
 
 
 def test_threshold_mode_build_and_summarize(eight_film_corpus, capsys):
@@ -432,9 +460,18 @@ def test_module_entry_point_runs_end_to_end(eight_film_corpus):
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "knn triples added: 24" in proc.stdout
-    bundle = eight_film_corpus.bundle.read_bytes()
-    assert hashlib.sha256(bundle).hexdigest() == (
+    bundle = pinned_bundle_text(eight_film_corpus)
+    assert hashlib.sha256(bundle.encode()).hexdigest() == (
         EIGHT_FILM_OUTPUTS["bundle.json"])
+
+
+def pinned_bundle_text(corpus) -> str:
+    """The bundle's text, its snapshot sha256 read as SNAPSHOT_SHA256 once it
+    matches the snapshot: the snapshot's header names the Python version."""
+    text = corpus.bundle.read_text()
+    digest = hashlib.sha256(snapshot_of(corpus).read_bytes()).hexdigest()
+    assert json.loads(text)["snapshot"]["sha256"] == digest
+    return text.replace(digest, "SNAPSHOT_SHA256")
 
 
 # knnsum.cli.main(sys.argv[1:]) in a fresh interpreter, which then writes
@@ -637,12 +674,13 @@ def test_matrix_digest_of_eight_films_is_pinned(eight_film_corpus, capsys):
 
 
 # sha256 of each output on the 8-film fixture; build's last line, which
-# names the bundle path, reads "bundle: BUNDLE"
+# names the bundle path, reads "bundle: BUNDLE", and the bundle is read as
+# pinned_bundle_text gives it
 EIGHT_FILM_OUTPUTS = {
     "build": (
         "f47a0f50bae51c746d727acfc3a9c329986da72670045913053d6336590f4188"),
     "bundle.json": (
-        "eaef7dc3f03b63a3e14c8432e8c4ed7dc3da6c8421a620587153ea0f086b34b2"),
+        "17174f3f61b2e8db92193dc2b53439655d4b39106d81b2ad4d4463ee2788e4fc"),
     "summarize --all": (
         "8b8975aef752599654ffbafb49d7f2f4c6b9a1a1408b7ef448609d1b7255856c"),
     "summarize --all --two-hop --format structured": (
@@ -663,7 +701,7 @@ def test_eight_film_outputs_are_pinned(eight_film_corpus, capsys):
 
     outputs = {"build": run("build").replace(str(eight_film_corpus.bundle),
                                              "BUNDLE"),
-               "bundle.json": eight_film_corpus.bundle.read_text()}
+               "bundle.json": pinned_bundle_text(eight_film_corpus)}
     outputs["summarize --all"] = run("summarize", "--all")
     outputs["summarize --all --two-hop --format structured"] = run(
         "summarize", "--all", "--two-hop", "--format", "structured")
@@ -791,21 +829,154 @@ def test_non_utf8_link_map_is_refused(eight_film_corpus, capsys, command):
                             "not valid UTF-8\n")
 
 
+def _failed_write_keeps_previous_pair(corpus, capsys, what: str,
+                                      target: Path) -> None:
+    """A build whose write of what fails exits 1 with one line naming
+    target, and leaves the previous bundle and snapshot and no other file."""
+    before = {path: path.read_bytes() for path in (corpus.bundle,
+                                                   snapshot_of(corpus))}
+    files = sorted(os.listdir(corpus.root))
+    capsys.readouterr()
+    assert build(corpus, "--k", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {what} {str(target)!r}: "
+                            f"[Errno {errno.ENOSPC}] No space left on "
+                            f"device\n")
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(os.listdir(corpus.root)) == files  # no temporary file left
+
+
 def test_failed_bundle_write_keeps_previous_bundle(eight_film_corpus, capsys,
                                                    monkeypatch):
     assert build(eight_film_corpus) == 0
-    before = eight_film_corpus.bundle.read_bytes()
-    files = sorted(os.listdir(eight_film_corpus.root))
+    with eight_film_corpus.triples.open("a") as fh:  # another snapshot
+        fh.write(EXTRA_TRIPLE)
 
     def dump_then_fail(obj, fh, **kwargs):
         fh.write('{"neighbors": {')
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(json, "dump", dump_then_fail)
+    _failed_write_keeps_previous_pair(eight_film_corpus, capsys, "bundle",
+                                      eight_film_corpus.bundle)
+
+
+def test_failed_snapshot_write_keeps_previous_bundle(eight_film_corpus,
+                                                     capsys, monkeypatch):
+    assert build(eight_film_corpus) == 0
+    with eight_film_corpus.triples.open("a") as fh:  # another snapshot
+        fh.write(EXTRA_TRIPLE)
+
+    def fail(fd):  # the snapshot, written first, is the first file synced
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    _failed_write_keeps_previous_pair(eight_film_corpus, capsys,
+                                      "graph snapshot",
+                                      snapshot_of(eight_film_corpus))
+
+
+# -- bundle v2: the graph's and the snapshot's fingerprints -------------------
+
+def _edit(path: Path, edit) -> None:
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _record_snapshot(corpus, data: bytes) -> None:
+    """Write data as the snapshot, with its fingerprint in the bundle, as
+    build would: only what data holds can then be refused."""
+    snapshot_of(corpus).write_bytes(data)
+    payload = json.loads(corpus.bundle.read_text())
+    payload["snapshot"] = {"sha256": hashlib.sha256(data).hexdigest(),
+                           "size": len(data)}
+    corpus.bundle.write_text(json.dumps(payload))
+
+
+def _other_header(corpus, field: str, value) -> None:
+    header, *body = marshal.loads(snapshot_of(corpus).read_bytes())
+    header = tuple((name, value if name == field else old)
+                   for name, old in header)
+    _record_snapshot(corpus, marshal.dumps((header, *body), 2))
+
+
+def _snapshot_of_another_build(corpus) -> None:
+    other = corpus.root / "other"
+    other.mkdir()
+    (other / "graph.nt").write_text(corpus.triples.read_text() + EXTRA_TRIPLE)
+    assert build(corpus, "--triples", str(other / "graph.nt"),
+                 "--bundle", str(other / "bundle.json")) == 0
+    shutil.copy(other / "bundle.json.graph", snapshot_of(corpus))
+
+
+def _as_version_1(corpus) -> None:
+    payload = json.loads(corpus.bundle.read_text())
+    for name in ("format_version", "graph", "snapshot"):
+        del payload[name]
+    corpus.bundle.write_text(json.dumps(payload, sort_keys=True, indent=1))
+
+
+# damage done to a built 8-film corpus -> a part of the line that refuses it
+BUNDLE_PAIR_DAMAGE = {
+    "graph edited": (lambda c: _edit(c.triples, lambda b: b + EXTRA_TRIPLE
+                                     .encode()), "records graph.size = "),
+    "graph byte changed": (
+        lambda c: _edit(c.triples, lambda b: b.replace(b"v/c1", b"v/c2", 1)),
+        "records graph.sha256 = "),
+    "snapshot missing": (lambda c: snapshot_of(c).unlink(),
+                         "cannot read graph snapshot "),
+    "snapshot truncated": (
+        lambda c: _edit(snapshot_of(c), lambda b: b[:len(b) // 2]),
+        "records snapshot.size = "),
+    "snapshot byte flipped": (
+        lambda c: _edit(snapshot_of(c),
+                        lambda b: b[:99] + bytes([b[99] ^ 1]) + b[100:]),
+        "records snapshot.sha256 = "),
+    "snapshot of another build": (_snapshot_of_another_build,
+                                  "records snapshot."),
+    "other marshal version": (
+        lambda c: _other_header(c, "marshal_version", 1),
+        "was written with marshal_version = 1, but this process has "
+        f"marshal_version = {marshal.version}; "),
+    "other python version": (
+        lambda c: _other_header(c, "python_version", "2.7"),
+        "was written with python_version = '2.7', but this process has "
+        f"python_version = '{sys.version_info[0]}.{sys.version_info[1]}'; "),
+    "version 1 bundle": (
+        _as_version_1, "has format_version = None, but this knnsum reads "
+                       "format_version = 2; "),
+}
+
+
+@pytest.mark.parametrize("command, damage", [
+    *(("summarize", damage) for damage in BUNDLE_PAIR_DAMAGE),
+    ("neighbors", "version 1 bundle")])
+def test_stale_or_damaged_bundle_pair_is_refused(eight_film_corpus, capsys,
+                                                 command, damage):
+    assert build(eight_film_corpus) == 0
+    apply, part = BUNDLE_PAIR_DAMAGE[damage]
+    apply(eight_film_corpus)
     capsys.readouterr()
-    assert build(eight_film_corpus, "--k", "2") == 1
+    assert main([command, "--config", str(eight_film_corpus.config),
+                 "m1"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(
-        f"error: cannot write bundle {str(eight_film_corpus.bundle)!r}")
-    assert eight_film_corpus.bundle.read_bytes() == before
-    assert sorted(os.listdir(eight_film_corpus.root)) == files
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and part in captured.err
+    assert captured.err.count("\n") == 1
+    if damage != "snapshot missing":  # a file that cannot be read
+        assert captured.err.endswith("; rebuild the bundle\n")
+
+
+def test_neighbors_reads_neither_graph_nor_snapshot(eight_film_corpus,
+                                                    capsys):
+    assert build(eight_film_corpus) == 0
+    cfg = ["--config", str(eight_film_corpus.config)]
+    capsys.readouterr()
+    lookups = [["m1"], [film_iri("m6")]]
+    expected = [(main(["neighbors", *cfg, *target]), capsys.readouterr())
+                for target in lookups]
+    eight_film_corpus.triples.unlink()
+    snapshot_of(eight_film_corpus).unlink()
+    assert [(main(["neighbors", *cfg, *target]), capsys.readouterr())
+            for target in lookups] == expected
+    assert [code for code, _ in expected] == [0, 0]

@@ -4,7 +4,8 @@ Each example writes a ratings file, a graph and a link map (each the
 8-film fixture's, a byte-edited copy of it, or arbitrary bytes), runs
 `build` (with k = 20, a threshold, or a k beyond any item count), then
 keeps, damages or replaces the bundle it wrote (a replacement may be
-JSON nested past the recursion limit), and runs `neighbors` and
+JSON nested past the recursion limit) and the graph snapshot beside it,
+and runs `neighbors` and
 `summarize`, on fixed targets and on arbitrary text
 (the empty string included). Every command must return 0, 1 or 2 and
 raise nothing. Standard output is a strict UTF-8 stream, as a terminal or
@@ -24,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FILM_TYPE, film_iri, write_eight_film_corpus
-from knnsum.cli import main
+from knnsum.cli import FORMAT_VERSION, main
 
 INPUTS = ("ratings", "triples", "links")
 
@@ -38,10 +39,12 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8)
-# a bundle that passes the parameter checks, with arbitrary neighbor lists
+# a bundle that passes the version and parameter checks, with arbitrary
+# neighbor lists
 json_bundles = st.dictionaries(st.text(max_size=3), json_values,
                                max_size=4).map(
-    lambda neighbors: json.dumps({"mode": "fixed-k", "k": 20,
+    lambda neighbors: json.dumps({"format_version": FORMAT_VERSION,
+                                  "mode": "fixed-k", "k": 20,
                                   "threshold": None,
                                   "neighbors": neighbors}).encode())
 # JSON nested past any recursion limit, whole or under "neighbors"
@@ -78,13 +81,14 @@ def fixture_bytes(tmp_path_factory) -> dict[str, bytes]:
 
 @given(inputs=st.tuples(changes, changes, changes),
        bundle=st.one_of(changes, json_bundles, deep_bundles),
+       snapshot=changes,
        mode=st.sampled_from([[], ["--threshold", "0.5"],
                              ["--k", "100000000000000000000"]]),
        texts=targets)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_arbitrary_input_bytes_never_crash(fixture_bytes, inputs, bundle,
-                                           mode, texts):
+                                           snapshot, mode, texts):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         flags = []
@@ -96,9 +100,11 @@ def test_arbitrary_input_bytes_never_crash(fixture_bytes, inputs, bundle,
         flags += ["--bundle", str(bundle_path), "--type-filter", FILM_TYPE,
                   *mode]
         assert run(["build", *flags]) in (0, 1, 2)
-        if bundle_path.exists() or isinstance(bundle, bytes):
-            old = bundle_path.read_bytes() if bundle_path.exists() else b""
-            bundle_path.write_bytes(changed(old, bundle))
+        for path, change in ((bundle_path, bundle),
+                             (root / "bundle.json.graph", snapshot)):
+            if path.exists() or isinstance(change, bytes):
+                old = path.read_bytes() if path.exists() else b""
+                path.write_bytes(changed(old, change))
         for argv in (["neighbors", *flags, "m1"],
                      ["neighbors", *flags, film_iri("m1")],
                      ["neighbors", *flags, "--", texts[-1]],

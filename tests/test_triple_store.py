@@ -1,4 +1,6 @@
+import gc
 import io
+import marshal
 import random
 
 import pytest
@@ -255,6 +257,40 @@ def test_load_is_idempotent_on_own_serialization():
     buf2 = io.StringIO()
     write_ntriples(once, buf2)
     assert buf.getvalue() == buf2.getvalue()
+
+
+# -- snapshots -------------------------------------------------------------------
+
+@given(documents)
+@settings(max_examples=100, deadline=None)
+def test_snapshot_round_trips_terms_and_indexes(lines):
+    store, _ = load_ntriples(lines)
+    data = store.snapshot()
+    loaded = TripleStore.from_snapshot(data)
+    assert gc.isenabled()
+    assert loaded == store and len(loaded) == len(store)
+    # the same ids, so the same indexes
+    assert loaded._terms == store._terms and loaded._ids == store._ids
+    assert loaded._spo == store._spo and loaded._pos == store._pos
+    assert load_ntriples(lines)[0].snapshot() == data
+
+
+@pytest.mark.parametrize("field", ["marshal_version", "python_version"])
+def test_snapshot_from_another_writer_is_refused(field):
+    header, *body = marshal.loads(TripleStore([Triple(A, P, B)]).snapshot())
+    other = tuple((name, "x" if name == field else value)
+                  for name, value in header)
+    with pytest.raises(ValueError, match=f"^was written with {field} = 'x', "
+                                         f"but this process has {field} = "):
+        TripleStore.from_snapshot(marshal.dumps((other, *body), 2))
+
+
+def test_snapshot_terms_are_checked_by_the_term_constructor():
+    header, terms, *indexes = marshal.loads(
+        TripleStore([Triple(A, P, B)]).snapshot())
+    terms[0] = ("iri", "", None, None)
+    with pytest.raises(ValueError, match="empty iri lexical form"):
+        TripleStore.from_snapshot(marshal.dumps((header, terms, *indexes), 2))
 
 
 # -- store semantics ---------------------------------------------------------------
