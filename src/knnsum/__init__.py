@@ -11,8 +11,7 @@ from .similarity import (NeighborList, all_pairs_knn, k_nearest_neighbors,
                          log_likelihood_ratio, neighbors_above_threshold,
                          similarity_score)
 from .summarize import (Summary, SummaryContext, WeightedFeature,
-                        entity_universe, feature_weights,
-                        path_feature_weights, summarize)
+                        entity_universe, feature_weights, summarize)
 from .usage import (ContingencyTable, UsageMatrix, cooccurrence,
                     ingest_ratings)
 
@@ -23,6 +22,6 @@ __all__ = [
     "all_pairs_knn", "blank", "cooccurrence", "entity_universe",
     "feature_weights", "ingest_ratings", "iri", "k_nearest_neighbors",
     "literal", "load_ntriples", "log_likelihood_ratio",
-    "neighbors_above_threshold", "path_feature_weights", "similarity_score",
+    "neighbors_above_threshold", "similarity_score",
     "summarize", "write_ntriples",
 ]

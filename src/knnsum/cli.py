@@ -544,13 +544,11 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _open_out(cfg: PipelineConfig) -> contextlib.AbstractContextManager:
     """The output stream; a file is opened, and so truncated, only when a
-    command has read its inputs and is about to write."""
+    command has read its inputs and is about to write. One it cannot open
+    raises OSError, which _run reports as it reports a failed write."""
     if cfg.out == "-" or not cfg.out:
         return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(cfg.out, "w", encoding="utf-8")
-    except OSError as exc:
-        raise _CommandError(f"cannot write output {cfg.out!r}: {exc}")
+    return open(cfg.out, "w", encoding="utf-8")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

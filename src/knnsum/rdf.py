@@ -264,12 +264,6 @@ class TripleStore:
                 *(pos.get((first, mid), ()) for mid in mids))))
         return global_support
 
-    def knn_neighbors(self, e: Term, knn_predicate: Term,
-                      type_filter: Term) -> set[Term]:
-        """The typed entities e links to by knn edges, e itself excluded."""
-        return {s for s in self.objects_of(e, knn_predicate)
-                if s != e and Triple(s, RDF_TYPE, type_filter) in self}
-
     def shared_features(self, e: Term, neighbors: Iterable[Term],
                         excluded_predicates: Iterable[Term] = ()
                         ) -> dict[Feature, set[Term]]:
@@ -409,14 +403,6 @@ def _parse_term(token: str) -> Term:
     if m.group("dt") == "":
         raise NTriplesError("empty IRI")
     return literal(_unescape(m.group("body")), m.group("lang"), m.group("dt"))
-
-
-def parse_ntriples_line(line: str) -> Triple | None:
-    """Parse one N-Triples line; None for blank lines and comments."""
-    store, diagnostics = load_ntriples([line])
-    if diagnostics:
-        raise NTriplesError(diagnostics[0].reason)
-    return next(iter(store), None)
 
 
 def load_ntriples(source: IO[str] | Iterable[str]

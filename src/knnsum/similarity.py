@@ -4,13 +4,13 @@ The pair similarity of two items with no common rater is defined as 0:
 a raw G2 of such a table can be large (strong *negative* association),
 but co-usage evidence is what neighborhoods are built from.
 
-numpy is imported in the functions that compute with it, as in usage.py.
+numpy is imported in the functions that compute with it, as in usage.py,
+and so is concurrent.futures: the lookups load neither.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -240,6 +240,8 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     contingency table bit for bit, and the lists are the same whatever
     the block size and worker count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     for name, value in (("k", k), ("workers", workers),
                         ("block_size", block_size)):
         if value < 1:
@@ -253,12 +255,8 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     def process_block(start: int) -> list[NeighborList]:
         return kernel.block(start, min(start + block_size, n_items), cap, tau)
 
-    starts = range(0, n_items, block_size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(process_block, starts))
-    else:
-        blocks = [process_block(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = list(pool.map(process_block, range(0, n_items, block_size)))
     return {nl.center: nl for block in blocks for nl in block}
 
 

@@ -88,31 +88,17 @@ def _weigh(store: TripleStore, e: Term, candidates: set[Term | None],
     return out
 
 
-def _knn_edge_weights(store: TripleStore, e: Term, universe: set[Term],
-                      knn_predicate: Term, type_filter: Term,
-                      two_hop: bool) -> list[WeightedFeature]:
+def feature_weights(store: TripleStore, e: Term, universe: set[Term],
+                    knn_predicate: Term, *, two_hop: bool = False
+                    ) -> list[WeightedFeature]:
+    """Weighted features of e from its materialized knn edges, sorted by
+    descending weight (ties: descending support, ascending feature); with
+    two_hop, over (p, q, t) composites. Edges to entities outside the
+    universe, and a knn self-loop, are ignored."""
     if e not in universe:
         raise EntityNotInUniverseError(f"entity not in universe: {e.lexical}")
-    return _weigh(store, e, store.knn_neighbors(e, knn_predicate, type_filter),
-                  universe, store.support_counter(universe), knn_predicate,
-                  two_hop)
-
-
-def feature_weights(store: TripleStore, e: Term, universe: set[Term],
-                    knn_predicate: Term, type_filter: Term
-                    ) -> list[WeightedFeature]:
-    """Weighted features of e from its materialized knn edges, sorted
-    by descending weight (ties: descending support, ascending feature)."""
-    return _knn_edge_weights(store, e, universe, knn_predicate, type_filter,
-                             two_hop=False)
-
-
-def path_feature_weights(store: TripleStore, e: Term, universe: set[Term],
-                         knn_predicate: Term, type_filter: Term
-                         ) -> list[WeightedFeature]:
-    """Two-hop analog of feature_weights over (p, q, t) composites."""
-    return _knn_edge_weights(store, e, universe, knn_predicate, type_filter,
-                             two_hop=True)
+    return _weigh(store, e, store.objects_of(e, knn_predicate), universe,
+                  store.support_counter(universe), knn_predicate, two_hop)
 
 
 # Where a target's neighbor list comes from: the usage matrix (each list

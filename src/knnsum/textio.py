@@ -1,9 +1,10 @@
 """One decoding policy for the line-oriented text inputs.
 
-Input files are opened as UTF-8 with the surrogateescape error handler,
-so a byte sequence that is not UTF-8 decodes into lone surrogates on its
-own line instead of aborting the read. Each reader then refuses such a
-line with a line-numbered diagnostic, as it refuses any malformed line.
+Input files are opened as UTF-8, a leading byte-order mark skipped, with
+the surrogateescape error handler, so a byte sequence that is not UTF-8
+decodes into lone surrogates on its own line instead of aborting the
+read. Each reader then refuses such a line with a line-numbered
+diagnostic, as it refuses any malformed line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class Diagnostic(NamedTuple):
 
 def open_text(path: str) -> IO[str]:
     """Open path for reading under the decoding policy."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def undecodable(text: str) -> bool:

@@ -113,7 +113,7 @@ def test_criterion_5_weight_oracle_equivalence():
         for e in sorted(universe, key=lambda t: t.lexical):
             got = {wf.feature: (wf.neighbor_support, wf.global_support,
                                 wf.weight)
-                   for wf in feature_weights(store, e, universe, KNN, FILM)}
+                   for wf in feature_weights(store, e, universe, KNN)}
             want = brute_feature_weights(triples, e, KNN, FILM)
             assert got.keys() == want.keys()
             for f in want:
@@ -133,7 +133,7 @@ def test_criterion_6_downgrading_universal_features():
         universal = {f for f in store.feature_set(next(iter(universe)), (KNN,))
                      if universe <= store.subjects_with(f.property, f.value)}
         for e in universe:
-            for wf in feature_weights(store, e, universe, KNN, FILM):
+            for wf in feature_weights(store, e, universe, KNN):
                 if wf.feature in universal:
                     assert wf.weight == 0.0
                     seen += 1
@@ -147,7 +147,7 @@ def test_criterion_7_log_base_invariance():
     for store, triples in _random_store_cases():
         universe = entity_universe(store, FILM)
         for e in sorted(universe, key=lambda t: t.lexical):
-            natural = feature_weights(store, e, universe, KNN, FILM)
+            natural = feature_weights(store, e, universe, KNN)
             base2 = sorted(
                 natural,
                 key=lambda wf: (
@@ -169,8 +169,9 @@ def test_criterion_8_two_hop_oracle_equivalence():
     for _ in range(100):
         store, triples, _ = random_two_hop_store(rng)
         assert len(triples) <= 200
-        for e in sorted(store.typed(FILM), key=lambda t: t.lexical):
-            neighbors = store.knn_neighbors(e, KNN, FILM)
+        typed = store.typed(FILM)
+        for e in sorted(typed, key=lambda t: t.lexical):
+            neighbors = (store.objects_of(e, KNN) & typed) - {e}
             assert store.shared_two_hop_paths(e, neighbors, (KNN,)) == \
                 brute_two_hop(triples, e, KNN, FILM)
             checked += 1

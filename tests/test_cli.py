@@ -1,3 +1,4 @@
+import codecs
 import errno
 import hashlib
 import importlib
@@ -348,7 +349,9 @@ def test_unwritable_output_is_refused(eight_film_corpus, capsys, command):
     target = eight_film_corpus.root / "no-such-dir" / "out.txt"
     assert main([command[0], "--config", str(eight_film_corpus.config),
                  "--out", str(target), *command[1:]]) == 1
-    assert capsys.readouterr().err.startswith("error: cannot write output ")
+    assert capsys.readouterr().err == (
+        f"error: cannot write output {str(target)!r}: [Errno 2] No such file "
+        f"or directory: {str(target)!r}\n")
 
 
 @pytest.mark.parametrize("command, target", [
@@ -475,7 +478,8 @@ def pinned_bundle_text(corpus) -> str:
 
 
 # knnsum.cli.main(sys.argv[1:]) in a fresh interpreter, which then writes
-# the numpy and scipy modules it loaded as the last line of stderr
+# the numpy, scipy and concurrent.futures modules it loaded as the last
+# line of stderr: only build computes with them
 _MAIN_THEN_HEAVY_MODULES = """
 import sys
 from knnsum.cli import main
@@ -483,7 +487,8 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --help
     code = exc.code
-print(sorted({"numpy", "scipy"} & set(sys.modules)), file=sys.stderr)
+print(sorted({"numpy", "scipy", "concurrent.futures"} & set(sys.modules)),
+      file=sys.stderr)
 sys.exit(code)
 """
 
@@ -533,6 +538,10 @@ def test_readme_library_example_runs(eight_film_corpus):
     assert summary.features
     assert proc.stdout == "".join(f"{wf.weight} {wf.feature}\n"
                                   for wf in summary.features)
+
+
+def test_every_exported_name_is_bound():
+    assert [name for name in knnsum.__all__ if not hasattr(knnsum, name)] == []
 
 
 def test_summarize_reads_no_ratings_file(eight_film_corpus, capsys):
@@ -813,6 +822,26 @@ def test_non_utf8_ratings_and_graph_lines_are_diagnostics(
         [ratings_line, "not valid UTF-8"]]
     assert diagnostics["malformed_triple_lines"] == [
         [triple_line, "not valid UTF-8"]]
+
+
+@pytest.mark.parametrize("name", ["links", "config", "triples", "ratings"])
+def test_leading_byte_order_mark_is_skipped(eight_film_corpus, capsys, name):
+    corpus = eight_film_corpus
+    # ratings without their header line, so that a mark would start a user id
+    lines = corpus.ratings.read_text().splitlines(keepends=True)
+    corpus.ratings.write_text("".join(lines[1:]))
+
+    def outputs():
+        assert build(corpus, "--no-header") == 0
+        assert main(["summarize", "--config", str(corpus.config), "--all",
+                     "--two-hop"]) == 0
+        return capsys.readouterr().out
+
+    want = outputs()
+    assert "linked items: 8/8\n" in want
+    path = getattr(corpus, name)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert outputs() == want
 
 
 @pytest.mark.parametrize("command", [["build"], ["summarize", "m1"]])

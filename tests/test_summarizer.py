@@ -11,8 +11,7 @@ from knnsum.rdf import (RDF_TYPE, Feature, PathFeature, Triple, TripleStore,
 from knnsum.similarity import all_pairs_knn
 from knnsum.summarize import (EntityNotInUniverseError, ResolutionError,
                               STATUS_NO_USAGE, STATUS_OK, SummaryContext,
-                              entity_universe, feature_weights,
-                              path_feature_weights, summarize)
+                              entity_universe, feature_weights, summarize)
 from knnsum.usage import UsageMatrix
 from oracles import (FILM, KNN, brute_feature_weights,
                      brute_path_feature_weights, random_store,
@@ -56,7 +55,7 @@ def test_feature_weights_formula_value():
         triples.append(Triple(center, KNN_TERM, s))
     store = TripleStore(triples)
     universe = entity_universe(store, FILM)
-    weights = feature_weights(store, center, universe, KNN_TERM, FILM)
+    weights = feature_weights(store, center, universe, KNN_TERM)
     by_feature = {wf.feature: wf for wf in weights}
     wf = by_feature[Feature(p, v)]
     assert (wf.neighbor_support, wf.global_support) == (5, 50)
@@ -71,7 +70,7 @@ def test_universal_feature_weighs_exactly_zero():
                      iri("http://example.org/everywhere"))
     seen = False
     for e in universe:
-        for wf in feature_weights(store, e, universe, KNN, FILM):
+        for wf in feature_weights(store, e, universe, KNN):
             assert 1 <= wf.neighbor_support <= wf.global_support <= len(universe)
             if wf.feature == common:
                 seen = True
@@ -88,7 +87,7 @@ def test_feature_weights_empty_when_neighbors_share_nothing():
         Triple(e, KNN_TERM, s),
     ])
     universe = entity_universe(store, FILM)
-    got = feature_weights(store, e, universe, KNN_TERM, FILM)
+    got = feature_weights(store, e, universe, KNN_TERM)
     # rdf:type itself is shared; nothing else is
     assert [wf.feature for wf in got] == [Feature(RDF_TYPE, FILM)]
 
@@ -97,7 +96,37 @@ def test_feature_weights_requires_universe_membership():
     store = TripleStore([Triple(iri("http://x/e"), RDF_TYPE, FILM)])
     with pytest.raises(EntityNotInUniverseError):
         feature_weights(store, iri("http://x/other"),
-                        entity_universe(store, FILM), KNN_TERM, FILM)
+                        entity_universe(store, FILM), KNN_TERM)
+
+
+@pytest.mark.parametrize("two_hop", [False, True], ids=["one-hop", "two-hop"])
+def test_feature_weights_ignore_untyped_neighbors_self_loops_and_knn(two_hop):
+    # e's knn edges reach s (typed), u (untyped) and e itself; s's reaches
+    # u, so (knn, u) and every path through it is held by e and s
+    e, s, u = (iri(f"http://x/{n}") for n in ("e", "s", "u"))
+    p, q = iri("http://x/p"), iri("http://x/q")
+    v = {n: iri(f"http://x/v-{n}") for n in ("s", "u", "e")}
+    mid = {n: iri(f"http://x/mid-{n}") for n in ("e-s", "e-u", "e-e", "s", "u")}
+    store = TripleStore([
+        Triple(e, RDF_TYPE, FILM), Triple(s, RDF_TYPE, FILM),
+        Triple(e, KNN_TERM, s), Triple(e, KNN_TERM, u), Triple(e, KNN_TERM, e),
+        Triple(s, KNN_TERM, u),
+        # one hop: v-s shared with s, v-u only with u, v-e only by e
+        Triple(e, p, v["s"]), Triple(e, p, v["u"]), Triple(e, p, v["e"]),
+        Triple(s, p, v["s"]), Triple(u, p, v["u"]),
+        # two hops: (p, q, v-X) through a node of each holder's own
+        Triple(e, p, mid["e-s"]), Triple(mid["e-s"], q, v["s"]),
+        Triple(e, p, mid["e-u"]), Triple(mid["e-u"], q, v["u"]),
+        Triple(e, p, mid["e-e"]), Triple(mid["e-e"], q, v["e"]),
+        Triple(s, p, mid["s"]), Triple(mid["s"], q, v["s"]),
+        Triple(u, p, mid["u"]), Triple(mid["u"], q, v["u"]),
+    ])
+    got = feature_weights(store, e, entity_universe(store, FILM), KNN_TERM,
+                          two_hop=two_hop)
+    want = ({PathFeature(p, q, v["s"])} if two_hop
+            else {Feature(RDF_TYPE, FILM), Feature(p, v["s"])})
+    assert {wf.feature for wf in got} == want
+    assert all(wf.neighbor_support == 1 for wf in got)
 
 
 def test_feature_weights_match_brute_force_on_random_stores():
@@ -108,7 +137,7 @@ def test_feature_weights_match_brute_force_on_random_stores():
         for e in sorted(universe, key=lambda t: t.lexical)[:4]:
             got = {wf.feature: (wf.neighbor_support, wf.global_support,
                                 wf.weight)
-                   for wf in feature_weights(store, e, universe, KNN, FILM)}
+                   for wf in feature_weights(store, e, universe, KNN)}
             want = brute_feature_weights(triples, e, KNN, FILM)
             assert got.keys() == want.keys()
             for f in want:
@@ -125,8 +154,8 @@ def test_path_feature_weights_match_brute_force_on_random_stores():
         for e in sorted(universe, key=lambda t: t.lexical)[:4]:
             got = {wf.feature: (wf.neighbor_support, wf.global_support,
                                 wf.weight)
-                   for wf in path_feature_weights(store, e, universe, KNN,
-                                                  FILM)}
+                   for wf in feature_weights(store, e, universe, KNN,
+                                             two_hop=True)}
             want = brute_path_feature_weights(triples, e, KNN, FILM)
             assert got.keys() == want.keys()
             for f in want:
@@ -149,7 +178,7 @@ def test_weight_monotone_in_global_support():
             triples.append(Triple(e, p, v))
         store = TripleStore(triples)
         universe = entity_universe(store, FILM)
-        wfs = feature_weights(store, entities[0], universe, KNN_TERM, FILM)
+        wfs = feature_weights(store, entities[0], universe, KNN_TERM)
         return {wf.feature: wf.weight for wf in wfs}[Feature(p, v)]
 
     weights = [weight_with_holders(n) for n in (0, 3, 9, 27)]
@@ -239,7 +268,7 @@ def test_summarize_agrees_with_feature_weights_after_materialization():
     universe = entity_universe(store, FILM_TERM)
     for m in sorted(links):
         entity = iri(links[m])
-        via_store = feature_weights(store, entity, universe, KNN_TERM, FILM_TERM)
+        via_store = feature_weights(store, entity, universe, KNN_TERM)
         via_pipeline = summarize(store, matrix, links, m, n=100,
                                  knn_predicate=KNN_TERM, type_filter=FILM_TERM)
         assert via_pipeline.features == via_store
@@ -320,6 +349,6 @@ def test_path_feature_weights_requires_materialized_edges():
     fe, fs = iri(links["ie"]), iri(links["is"])
     store.add(Triple(fe, KNN, fs))
     universe = entity_universe(store, FILM)
-    got = path_feature_weights(store, fe, universe, KNN, FILM)
+    got = feature_weights(store, fe, universe, KNN, two_hop=True)
     assert [wf.feature for wf in got] == [composite]
     assert got[0].weight == pytest.approx(math.log(2), rel=1e-12)

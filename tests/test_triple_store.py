@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from knnsum.rdf import (RDF_TYPE, Feature, NTriplesError, PathFeature,
                         Triple, TripleStore, _unescape, blank, iri, literal,
-                        load_ntriples, parse_ntriples_line, term_to_ntriples,
-                        write_ntriples)
+                        load_ntriples, term_to_ntriples, write_ntriples)
 from knnsum.similarity import NeighborList
 from oracles import (FILM, KNN, brute_one_hop, brute_two_hop, random_store,
                      random_two_hop_store, reference_load, reference_unescape)
@@ -24,15 +23,19 @@ def load(text):
     return load_ntriples(io.StringIO(text))
 
 
+def knn_neighbors(store, e):
+    """The typed entities e links to by knn edges, e itself excluded."""
+    return (store.objects_of(e, KNN) & store.typed(FILM)) - {e}
+
+
 def shared_one_hop(store, e):
     """Features of e shared with its typed knn neighbors, with witnesses."""
-    return store.shared_features(e, store.knn_neighbors(e, KNN, FILM), (KNN,))
+    return store.shared_features(e, knn_neighbors(store, e), (KNN,))
 
 
 def shared_two_hop(store, e):
     """Two-hop composites of e matched by its typed knn neighbors."""
-    return store.shared_two_hop_paths(e, store.knn_neighbors(e, KNN, FILM),
-                                      (KNN,))
+    return store.shared_two_hop_paths(e, knn_neighbors(store, e), (KNN,))
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -113,8 +116,9 @@ def test_literal_renders_as_no_other_literal(language, datatype):
 
 
 def test_literal_subject_rejected():
-    with pytest.raises(Exception):
-        parse_ntriples_line('"lit" <http://x/p> <http://x/b> .')
+    store, diags = load('"lit" <http://x/p> <http://x/b> .\n')
+    assert len(store) == 0
+    assert diags == [(1, "not a valid N-Triples statement")]
 
 
 def test_unicode_escape():
@@ -369,14 +373,6 @@ def test_shared_one_hop_witness_sets():
 def test_shared_one_hop_no_knn_edges():
     store = TripleStore([Triple(A, P, B), Triple(A, RDF_TYPE, FILM)])
     assert shared_one_hop(store, A) == {}
-
-
-def test_shared_one_hop_untyped_neighbor_excluded():
-    store, triples, e, s1, s2, p1, _, f1v, _ = one_hop_fixture()
-    bare = TripleStore(t for t in triples
-                       if not (t.subject == s1 and t.predicate == RDF_TYPE))
-    got = shared_one_hop(bare, e)
-    assert got[Feature(p1, f1v)] == {s2}
 
 
 def test_shared_one_hop_matches_brute_force_on_random_stores():
