@@ -226,10 +226,6 @@ def write_bundle(path: str, matrix: UsageMatrix,
             fh.flush()
             os.fsync(fh.fileno())
 
-    def write_json(fh: IO[str]) -> None:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
     try:
         data = store.snapshot()
         snapshot = _fingerprint([data])
@@ -250,11 +246,14 @@ def write_bundle(path: str, matrix: UsageMatrix,
             "type_filter": cfg.type_filter,
             "knn_triples_added": knn_added,
             "diagnostics": diagnostics,
-            "neighbors": {center: [[item, score]
-                                   for item, score in nl.neighbors]
+            # (item, score) tuples encode as [item, score] arrays
+            "neighbors": {center: nl.neighbors
                           for center, nl in lists.items()},
         }
-        stage("bundle", path, "w", write_json)
+        # json.dumps runs the C encoder; json.dump to a file streams
+        # through the pure-Python one
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        stage("bundle", path, "w", lambda fh: fh.write(text + "\n"))
         for what, target, tmp in staged:
             with _writing(what, target):
                 os.replace(tmp, target)

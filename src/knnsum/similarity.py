@@ -228,7 +228,7 @@ def neighbors_above_threshold(m: UsageMatrix, e: str, tau: float) -> NeighborLis
 
 
 def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
-                  block_size: int = 256, *,
+                  block_size: int = 64, *,
                   tau: float | None = None) -> dict[str, NeighborList]:
     """Neighbor lists for every item of the matrix.
 
@@ -236,7 +236,9 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     item whose similarity is strictly above tau, uncapped (k is then
     unused). Items are scored against one block of block_size centers at
     a time, only where they share a rater, and blocks run on up to
-    `workers` threads. Each score equals similarity_score of the pair's
+    `workers` threads. A block's temporaries hold one entry per center
+    and co-rated item, so block_size bounds the memory each thread uses
+    at once. Each score equals similarity_score of the pair's
     contingency table bit for bit, and the lists are the same whatever
     the block size and worker count.
     """

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import marshal
 import math
@@ -19,7 +20,8 @@ import knnsum
 
 from conftest import (EX, FILM_TYPE, KNN_PRED, eight_film_pairs,
                       eight_film_triples, film_iri, write_eight_film_corpus)
-from knnsum.cli import main, matrix_digest, render_summary_structured
+from knnsum.cli import (PipelineConfig, main, matrix_digest,
+                        render_summary_structured, write_bundle)
 from knnsum.similarity import NeighborList, all_pairs_knn
 from knnsum.rdf import iri
 from knnsum.summarize import summarize
@@ -294,7 +296,7 @@ def test_invalid_workers_rejected(eight_film_corpus, capsys, workers):
 
 
 def test_threshold_build_identical_across_worker_counts(tmp_path, capsys):
-    # 600 items span three 256-item blocks, so two workers share the work
+    # 600 items span ten blocks of 64 rows, so two workers share the work
     rng = random.Random(17)
     lines = ["userID\tmovieID\trating"]
     lines += [f"u{rng.randrange(90):02d}\ti{rng.randrange(600):03d}\t4.0"
@@ -882,13 +884,50 @@ def test_failed_bundle_write_keeps_previous_bundle(eight_film_corpus, capsys,
     with eight_film_corpus.triples.open("a") as fh:  # another snapshot
         fh.write(EXTRA_TRIPLE)
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"neighbors": {')
-        raise OSError(errno.ENOSPC, "No space left on device")
+    synced = []
+    fsync = os.fsync
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+    def fail_second(fd):  # the bundle is synced after the snapshot
+        synced.append(fd)
+        if len(synced) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fail_second)
     _failed_write_keeps_previous_pair(eight_film_corpus, capsys, "bundle",
                                       eight_film_corpus.bundle)
+
+
+def test_bundle_bytes_equal_the_streamed_json_encoding(tmp_path):
+    # json.dump, which streams through the pure-Python encoder, is the
+    # oracle for the bytes of the one-shot encoding write_bundle makes
+    items = ["caf\u00e9", "\u65e5\u672c", "\U0001f3ac", "plain"]
+    matrix = UsageMatrix([(f"u{u}", item) for u in range(3) for item in items])
+    lists = {
+        "caf\u00e9": NeighborList("caf\u00e9", [
+            ("\u65e5\u672c", 1.0), ("\U0001f3ac", 0.1 + 0.2),
+            ("plain", 5e-324)]),
+        "\u65e5\u672c": NeighborList("\u65e5\u672c", [("caf\u00e9", 0.0)]),
+        "\U0001f3ac": NeighborList("\U0001f3ac", []),
+        "plain": NeighborList("plain", [("caf\u00e9", 0.5)]),
+    }
+    cfg = PipelineConfig()
+    assert cfg.threshold is None
+    bundle = tmp_path / "bundle.json"
+    write_bundle(str(bundle), matrix, lists, cfg, 4,
+                 {"unmatched_items": ["\U0001f3ac"]},
+                 knnsum.TripleStore(eight_film_triples()),
+                 {"sha256": "0" * 64, "size": 0})
+    written = bundle.read_bytes()
+    payload = json.loads(written)
+    assert payload["threshold"] is None
+    assert payload["neighbors"] == {
+        center: [[item, score] for item, score in nl.neighbors]
+        for center, nl in lists.items()}
+    streamed = io.StringIO()
+    json.dump(payload, streamed, sort_keys=True, separators=(",", ":"))
+    streamed.write("\n")
+    assert written == streamed.getvalue().encode("ascii")
 
 
 def test_failed_snapshot_write_keeps_previous_bundle(eight_film_corpus,

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -269,15 +270,33 @@ def test_kernel_equals_oracle_bit_for_bit(pairs, k, tau):
     sets = rater_sets(m)
     want_knn = {e: knn_oracle(m, e, k, sets) for e in m.items}
     want_tau = {e: threshold_oracle(m, e, tau, sets) for e in m.items}
-    for block_size, workers in product((1, 7, 256), (1, 3)):
-        knn = all_pairs_knn(m, k, workers=workers, block_size=block_size)
-        above = all_pairs_knn(m, k, workers=workers, block_size=block_size,
-                              tau=tau)
+    shipped = {}  # the default block size and worker count
+    for options in [shipped, *(dict(block_size=b, workers=w)
+                               for b, w in product((1, 7, 256), (1, 3)))]:
+        knn = all_pairs_knn(m, k, **options)
+        above = all_pairs_knn(m, k, tau=tau, **options)
         assert {e: nl.neighbors for e, nl in knn.items()} == want_knn
         assert {e: nl.neighbors for e, nl in above.items()} == want_tau
     for e in m.items:
         assert k_nearest_neighbors(m, e, k).neighbors == want_knn[e]
         assert neighbors_above_threshold(m, e, tau).neighbors == want_tau[e]
+
+
+def test_kernel_memory_is_bounded_by_the_default_block():
+    # each block's temporaries hold one entry per center and co-rated item,
+    # so the default block size bounds them: 200 users x 1,200 items at
+    # ~30% density co-rate almost every pair, and 256-row blocks peak at
+    # about 19 MB here
+    rng = random.Random(23)
+    m = UsageMatrix([(f"u{u:03d}", f"i{i:04d}") for u in range(200)
+                     for i in range(1_200) if rng.random() < 0.3])
+    tracemalloc.start()
+    try:
+        all_pairs_knn(m, 20, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_kernel_on_empty_matrix_is_empty():
