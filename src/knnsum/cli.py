@@ -18,8 +18,8 @@ from functools import partial
 from typing import (IO, Iterable, Mapping, Sequence, get_args,
                     get_type_hints)
 
-from .rdf import (DEFAULT_KNN_PREDICATE, TripleStore, iri, load_ntriples,
-                  term_to_ntriples)
+from .rdf import (DEFAULT_KNN_PREDICATE, TripleStore, _no_cycle_collection,
+                  iri, load_ntriples, term_to_ntriples)
 from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
                          format_neighbors_tsv)
 # Bound here, though no command calls it, so that the benchmark's traced
@@ -286,11 +286,12 @@ def _neighbor_list(center: str, pairs: object) -> NeighborList | None:
     return NeighborList(center, neighbors)
 
 
-def _load_bundle(cfg: PipelineConfig) -> tuple[dict, dict[str, NeighborList]]:
+def _load_bundle(cfg: PipelineConfig, settings: Sequence[str] = ()
+                 ) -> tuple[dict, dict[str, NeighborList]]:
     """The bundle at cfg.bundle and its neighbor lists. A file that is no
     bundle, has another format_version, holds a malformed neighbor list, or
-    was built with other neighborhood parameters than cfg names is an input
-    error."""
+    was built with other neighborhood parameters than cfg names, or with
+    another value of one of the named settings, is an input error."""
     with _reading("bundle", cfg.bundle,
                   f"bundle {cfg.bundle!r} is not valid JSON: "):
         bundle = read_bundle(cfg.bundle)
@@ -313,6 +314,7 @@ def _load_bundle(cfg: PipelineConfig) -> tuple[dict, dict[str, NeighborList]]:
     wanted = [("mode", cfg.mode)]
     wanted += ([("k", cfg.k)] if cfg.mode == FIXED_K
                else [("threshold", cfg.threshold)])
+    wanted += [(name, getattr(cfg, name)) for name in settings]
     for name, value in wanted:
         if bundle.get(name) != value:
             raise _CommandError(
@@ -480,7 +482,8 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                   all_entities: bool) -> int:
     if not all_entities and not targets:
         raise _CommandError("no entities requested (pass ids or --all)")
-    bundle, lists = _load_bundle(cfg)
+    # a summary's features depend on both; a neighbor list on neither
+    bundle, lists = _load_bundle(cfg, ("knn_predicate", "type_filter"))
     store = _load_graph(cfg, bundle)
     with _reading("link map", cfg.links):
         links = load_links(cfg.links)
@@ -568,7 +571,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="summarize every entity in the universe")
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        # The command's data (usage matrix, neighbor lists, store indexes,
+        # weighed features) forms no reference cycles, so the cycle
+        # collector would only rescan it: it is off while the command runs.
+        with _no_cycle_collection():
+            return _run(args)
     except _CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -14,7 +14,6 @@ import gc
 import marshal
 import re
 import sys
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
@@ -32,25 +31,44 @@ class NTriplesError(ValueError):
     """A line could not be parsed as an N-Triples statement."""
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+def _check_term(kind: str, lexical: str, language: str | None,
+                datatype: str | None) -> None:
+    """Raise ValueError unless the fields make a Term: the one rule for
+    the Term constructor and for a snapshot's terms."""
+    if kind not in (IRI, LITERAL, BLANK):
+        raise ValueError(f"bad term kind: {kind!r}")
+    if kind in (IRI, BLANK) and not lexical:
+        raise ValueError(f"empty {kind} lexical form")
+    # "" renders as no language or datatype, so as another literal
+    if "" in (language, datatype) or (language and datatype):
+        raise ValueError("a literal takes one non-empty language or "
+                         "datatype at most")
+    if kind != LITERAL and (language or datatype):
+        raise ValueError("language/datatype only allowed on literals")
+
+
+class _TermFields(NamedTuple):
     kind: str
     lexical: str
     language: str | None = None
     datatype: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (IRI, LITERAL, BLANK):
-            raise ValueError(f"bad term kind: {self.kind!r}")
-        if self.kind in (IRI, BLANK) and not self.lexical:
-            raise ValueError(f"empty {self.kind} lexical form")
-        # "" renders as no language or datatype, so as another literal
-        if "" in (self.language, self.datatype) or (
-                self.language and self.datatype):
-            raise ValueError("a literal takes one non-empty language or "
-                             "datatype at most")
-        if self.kind != LITERAL and (self.language or self.datatype):
-            raise ValueError("language/datatype only allowed on literals")
+
+class Term(_TermFields):
+    """An RDF term: an immutable 4-tuple of its fields, so that it is
+    hashed and compared in C. It equals the plain tuple of its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, lexical: str, language: str | None = None,
+                datatype: str | None = None) -> Term:
+        _check_term(kind, lexical, language, datatype)
+        return tuple.__new__(cls, (kind, lexical, language, datatype))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Term:
+        # checked, and so is _replace, which builds through _make
+        return cls(*iterable)
 
 
 def iri(value: str) -> Term:
@@ -104,9 +122,12 @@ SNAPSHOT_HEADER = (("marshal_version", marshal.version),
 
 @contextlib.contextmanager
 def _no_cycle_collection():
-    """Cycle collection off for the block. Loading or snapshotting a store
-    makes no reference cycles, so collecting during it would only rescan
-    the store's indexes (a quarter of a large N-Triples load)."""
+    """Cycle collection off for the block, and the caller's collector
+    state back on every exit. Loading or snapshotting a store makes no
+    reference cycles, so collecting during it would only rescan the
+    store's indexes (a quarter of a large N-Triples load); nor do the
+    usage data, neighbor lists and weighed features of a command, which
+    the CLI runs in this block too."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -183,11 +204,13 @@ class TripleStore:
 
     @classmethod
     def from_snapshot(cls, data: bytes) -> TripleStore:
-        """The store whose snapshot() data is. Every term is rebuilt, and so
-        checked, by the Term constructor. A header other than this
-        process's SNAPSHOT_HEADER is a ValueError naming the field.
-        marshal is not safe on damaged bytes: check data's integrity first."""
+        """The store whose snapshot() data is. Every term is checked by the
+        Term constructor's rule, then built without calling it. A header
+        other than this process's SNAPSHOT_HEADER is a ValueError naming the
+        field. marshal is not safe on damaged bytes: check data's integrity
+        first."""
         kinds = {IRI: IRI, LITERAL: LITERAL, BLANK: BLANK}  # one str each
+        new = tuple.__new__
         store = cls()
         with _no_cycle_collection():
             header, terms, store._spo, store._pos, store._size = (
@@ -198,10 +221,12 @@ class TripleStore:
                     raise ValueError(
                         f"was written with {name} = {found.get(name)!r}, "
                         f"but this process has {name} = {value!r}")
-            store._terms = [Term(kinds.get(kind, kind), lexical, language,
-                                 datatype)
+            for kind, lexical, language, datatype in terms:
+                _check_term(kind, lexical, language, datatype)
+            store._terms = [new(Term, (kinds[kind], lexical, language,
+                                       datatype))
                             for kind, lexical, language, datatype in terms]
-            store._ids = {t: i for i, t in enumerate(store._terms)}
+            store._ids = dict(zip(store._terms, range(len(terms))))
         return store
 
     def __iter__(self):

@@ -1,5 +1,6 @@
 import codecs
 import errno
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -376,12 +377,12 @@ def test_failed_command_keeps_previous_output(eight_film_corpus, capsys,
 
 def test_summarize_of_an_empty_universe_empties_output(eight_film_corpus,
                                                        capsys):
-    build(eight_film_corpus)
+    nothing = ["--type-filter", "http://example.org/Nothing"]
+    build(eight_film_corpus, *nothing)  # summarize checks the type filter
     target_out = eight_film_corpus.root / "out.txt"
     target_out.write_text("previous output\n")
     assert main(["summarize", "--config", str(eight_film_corpus.config),
-                 "--type-filter", "http://example.org/Nothing", "--all",
-                 "--out", str(target_out)]) == 0
+                 *nothing, "--all", "--out", str(target_out)]) == 0
     assert target_out.read_text() == ""
 
 
@@ -520,6 +521,82 @@ def test_lookups_load_neither_numpy_nor_scipy(eight_film_corpus, capsys,
     assert proc.stderr.splitlines()[-1] == "[]"
 
 
+# knnsum.cli.main(sys.argv[1:]) in a fresh interpreter with the cycle
+# collector on, which then writes the number of collections started while
+# the command ran (in cli._run) as the last line of stderr. Not counted:
+# the collection that the collector, once restored, may start as main
+# returns.
+_MAIN_COUNTING_COLLECTIONS = """
+import gc, sys
+from knnsum import cli
+started = []
+
+def count(phase, info):
+    frame = sys._getframe()
+    while frame is not None and frame.f_code is not cli._run.__code__:
+        frame = frame.f_back
+    if phase == "start" and frame is not None:
+        started.append(info)
+
+gc.callbacks.append(count)
+gc.enable()
+code = cli.main(sys.argv[1:])
+print(len(started), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["build"], ["neighbors", "m1"],
+    ["summarize", "--two-hop", "--format", "structured", "m1"]])
+def test_commands_run_without_cycle_collection(eight_film_corpus, capsys,
+                                               command):
+    assert build(eight_film_corpus) == 0
+    capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_COUNTING_COLLECTIONS, command[0],
+         "--config", str(eight_film_corpus.config), *command[1:]],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0"
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("argv, code", [
+    (["summarize", "m1"], 0),
+    (["summarize", "--k", "0", "m1"], 1),
+    (["neighbors", "nope"], 2),
+    pytest.param(["summarize", "--out", "/dev/full", "m1"], 1,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full"))],
+    ids=["ok", "bad-config", "unknown-target", "failed-write"])
+def test_main_restores_the_callers_collector(eight_film_corpus, capsys,
+                                             collecting, argv, code):
+    assert build(eight_film_corpus) == 0
+    capsys.readouterr()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert main([argv[0], "--config", str(eight_film_corpus.config),
+                     *argv[1:]]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--knn-predicate", "urn:other:knn"), ("--type-filter", f"{EX}Other")])
+def test_neighbors_reads_bundle_built_with_other_graph_settings(
+        eight_film_corpus, capsys, flag, value):
+    assert build(eight_film_corpus) == 0
+    cfg = ["--config", str(eight_film_corpus.config)]
+    capsys.readouterr()
+    assert main(["neighbors", *cfg, "m1"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["neighbors", *cfg, flag, value, "m1"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_readme_library_example_runs(eight_film_corpus):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     library = readme.read_text(encoding="utf-8").split("\n## Library\n")[1]
@@ -568,7 +645,14 @@ def test_summarize_reads_no_ratings_file(eight_film_corpus, capsys):
         ((), ("--threshold", "0.5"), "mode"),
         (("--threshold", "0.5"), (), "mode"),
         (("--threshold", "0.5"), ("--threshold", "0.7"), "threshold"),
-    ])])
+    ])] + [
+    # summarize only: a neighbor list depends on neither setting
+    pytest.param("summarize", built, asked, field,
+                 id=f"built{i}-asked{i}-{field}")
+    for i, (built, asked, field) in enumerate([
+        ((), ("--knn-predicate", "urn:other:knn"), "knn_predicate"),
+        (("--type-filter", f"{EX}Other"), (), "type_filter"),
+    ], start=4)])
 def test_summarize_refuses_bundle_built_with_other_parameters(
         eight_film_corpus, capsys, command, built, asked, field):
     assert build(eight_film_corpus, *built) == 0

@@ -2,12 +2,13 @@ import gc
 import io
 import marshal
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knnsum.rdf import (RDF_TYPE, Feature, NTriplesError, PathFeature,
+from knnsum.rdf import (RDF_TYPE, Feature, NTriplesError, PathFeature, Term,
                         Triple, TripleStore, _unescape, blank, iri, literal,
                         load_ntriples, term_to_ntriples, write_ntriples)
 from knnsum.similarity import NeighborList
@@ -289,12 +290,27 @@ def test_snapshot_from_another_writer_is_refused(field):
         TripleStore.from_snapshot(marshal.dumps((other, *body), 2))
 
 
+# each refusal of the Term constructor: the fields, then the message
+TERM_REFUSALS = [
+    (("uri", "http://x/a", None, None), "bad term kind: 'uri'"),
+    (("iri", "", None, None), "empty iri lexical form"),
+    (("literal", "x", "", None),
+     "a literal takes one non-empty language or datatype at most"),
+    (("blank", "b1", "en", None),
+     "language/datatype only allowed on literals"),
+]
+
+
 def test_snapshot_terms_are_checked_by_the_term_constructor():
     header, terms, *indexes = marshal.loads(
         TripleStore([Triple(A, P, B)]).snapshot())
-    terms[0] = ("iri", "", None, None)
-    with pytest.raises(ValueError, match="empty iri lexical form"):
-        TripleStore.from_snapshot(marshal.dumps((header, terms, *indexes), 2))
+    for fields, message in TERM_REFUSALS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Term(*fields)
+        terms[0] = fields
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TripleStore.from_snapshot(
+                marshal.dumps((header, terms, *indexes), 2))
 
 
 # -- store semantics ---------------------------------------------------------------
@@ -491,6 +507,30 @@ def test_feature_set_never_contains_knn_predicate_after_materialize():
     for v in link.values():
         fs = store.feature_set(iri(v), (KNN,))
         assert all(f.property != KNN for f in fs)
+
+
+term_names = st.text(min_size=1, max_size=6)
+any_terms = st.one_of(
+    st.builds(iri, term_names), st.builds(blank, term_names),
+    st.builds(literal, st.text(max_size=6)),
+    st.builds(lambda v, lang: literal(v, language=lang), st.text(),
+              term_names),
+    st.builds(lambda v, dt: literal(v, datatype=dt), st.text(), term_names))
+
+
+@given(any_terms)
+def test_term_is_an_immutable_tuple_of_its_fields(t):
+    fields = (t.kind, t.lexical, t.language, t.datatype)
+    # the frozen dataclass's hash, so set and dict orders stay as they were
+    assert hash(t) == hash(fields)
+    assert Term(*t) == t == fields
+    assert repr(t) == (f"Term(kind={t.kind!r}, lexical={t.lexical!r}, "
+                       f"language={t.language!r}, datatype={t.datatype!r})")
+    for name in Term._fields:
+        with pytest.raises(AttributeError):
+            setattr(t, name, t.lexical)
+    with pytest.raises(ValueError, match="^bad term kind: 'x'$"):
+        t._replace(kind="x")
 
 
 def test_term_rendering():
