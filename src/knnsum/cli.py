@@ -18,8 +18,8 @@ from functools import partial
 from typing import (IO, Iterable, Mapping, Sequence, get_args,
                     get_type_hints)
 
-from .rdf import (DEFAULT_KNN_PREDICATE, TripleStore, _no_cycle_collection,
-                  iri, load_ntriples, term_to_ntriples)
+from .rdf import (DEFAULT_KNN_PREDICATE, IRI, TripleStore,
+                  _no_cycle_collection, iri, load_ntriples, term_to_ntriples)
 from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
                          format_neighbors_tsv)
 # Bound here, though no command calls it, so that the benchmark's traced
@@ -179,9 +179,9 @@ def matrix_digest(matrix: UsageMatrix) -> str:
 
 # -- bundle ------------------------------------------------------------------
 
-# The bundle layout that build writes and the lookups read. Version 2 adds
-# format_version itself, the graph's fingerprint and the snapshot's.
-FORMAT_VERSION = 2
+# The bundle layout that build writes and the lookups read: version 3 adds
+# the link map's fingerprint to version 2's graph and snapshot ones.
+FORMAT_VERSION = 3
 
 
 def _snapshot_path(bundle: str) -> str:
@@ -207,9 +207,9 @@ def _file_fingerprint(path: str) -> dict:
 def write_bundle(path: str, matrix: UsageMatrix,
                  lists: Mapping[str, NeighborList], cfg: PipelineConfig,
                  knn_added: int, diagnostics: dict, store: TripleStore,
-                 graph: dict) -> None:
-    """Write the bundle at path and the store's snapshot beside it; graph is
-    the _file_fingerprint of the graph the store was loaded from."""
+                 graph: dict, links: dict) -> None:
+    """Write the bundle at path and the store's snapshot beside it; graph and
+    links are the _file_fingerprint of the graph file and of the link map."""
     # Each file goes to a temporary file beside it, and is synced to disk.
     # Only once both are complete does each replace its previous file, the
     # snapshot first, so a failed write leaves the previous pair as it was,
@@ -235,6 +235,7 @@ def write_bundle(path: str, matrix: UsageMatrix,
         payload = {
             "format_version": FORMAT_VERSION,
             "graph": graph,
+            "links": links,
             "snapshot": snapshot,
             "matrix_digest": matrix_digest(matrix),
             "users": len(matrix.users),
@@ -355,6 +356,16 @@ def _load_graph(cfg: PipelineConfig, bundle: dict) -> TripleStore:
             f"graph snapshot {path!r} {exc}; rebuild the bundle") from None
 
 
+def _load_checked_links(cfg: PipelineConfig, bundle: dict) -> dict[str, str]:
+    """The link map at cfg.links, refused unless the bundle records its
+    fingerprint; parsed first, so a malformed line is named by number."""
+    with _reading("link map", cfg.links):
+        links = load_links(cfg.links)
+        found = _file_fingerprint(cfg.links)
+    _check_fingerprint(cfg, bundle, "links", cfg.links, found)
+    return links
+
+
 # -- rendering ----------------------------------------------------------------
 
 def _render_feature_terms(wf) -> tuple[str, str]:
@@ -431,6 +442,7 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
         with open_text(cfg.triples) as fh:
             store, triple_diags = load_ntriples(fh)
     with _reading("link map", cfg.links):
+        link_file = _file_fingerprint(cfg.links)
         links = load_links(cfg.links)
     matrix = ingest.matrix
     lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
@@ -450,7 +462,7 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
         "skipped_links": skipped,
     }
     write_bundle(cfg.bundle, matrix, lists, cfg, knn_added, diagnostics,
-                 store, graph)
+                 store, graph, link_file)
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
     log.write(f"rejected ratings lines: {ingest.rejected_count}\n")
@@ -464,11 +476,10 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
 
 
 def cmd_neighbors(cfg: PipelineConfig, target: str) -> int:
-    _bundle, lists = _load_bundle(cfg)
+    bundle, lists = _load_bundle(cfg)
     item_id = target
     if item_id not in lists:  # maybe an entity iri: back through the links
-        with _reading("link map", cfg.links):
-            links = load_links(cfg.links)
+        links = _load_checked_links(cfg, bundle)
         item_id = reverse_links(links, lists).get(target)
         if item_id is None:
             raise _CommandError(f"unknown item or entity: {target!r}",
@@ -485,14 +496,13 @@ def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
     # a summary's features depend on both; a neighbor list on neither
     bundle, lists = _load_bundle(cfg, ("knn_predicate", "type_filter"))
     store = _load_graph(cfg, bundle)
-    with _reading("link map", cfg.links):
-        links = load_links(cfg.links)
+    links = _load_checked_links(cfg, bundle)
     knn_predicate = iri(cfg.knn_predicate)
     type_filter = iri(cfg.type_filter)
     context = SummaryContext(store, lists, links, knn_predicate, type_filter)
     if all_entities:
-        targets = [t.lexical
-                   for t in sorted(context.universe, key=lambda t: t.lexical)]
+        # a link map names only IRIs, so no target names a blank node
+        targets = sorted(t.lexical for t in context.universe if t.kind == IRI)
     render = (render_summary_tsv if cfg.format == "tsv"
               else render_summary_structured)
     failures = 0

@@ -254,9 +254,6 @@ class TripleStore:
         return self._term_set(
             self._spo.get(self._id(s), {}).get(self._id(p), ()))
 
-    def typed(self, type_iri: Term) -> set[Term]:
-        return self.subjects_with(RDF_TYPE, type_iri)
-
     def _features(self, e: int, excluded: set[int]):
         """(property, value) id pairs of e, minus the excluded predicates."""
         for p, objects in self._spo.get(e, {}).items():

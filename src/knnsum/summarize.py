@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Collection, Mapping
 
-from .rdf import (Feature, PathFeature, Term, TripleStore, iri, term_key)
+from .rdf import (RDF_TYPE, Feature, PathFeature, Term, TripleStore, iri,
+                  term_key)
+# the two neighbor functions are bound only for perfbench/spans.py to wrap
 from .similarity import (DEFAULT_K, NeighborList, k_nearest_neighbors,
                          neighbors_above_threshold)
-from .usage import UsageMatrix
 
 DEFAULT_N = 10
 
@@ -54,7 +55,7 @@ class Summary:
 
 def entity_universe(store: TripleStore, type_filter: Term) -> set[Term]:
     """All subjects carrying the rdf:type triple for type_filter."""
-    return store.typed(type_filter)
+    return store.subjects_with(RDF_TYPE, type_filter)
 
 
 def _feature_sort_key(wf: WeightedFeature) -> tuple:
@@ -101,12 +102,6 @@ def feature_weights(store: TripleStore, e: Term, universe: set[Term],
                   store.support_counter(universe), knn_predicate, two_hop)
 
 
-# Where a target's neighbor list comes from: the usage matrix (each list
-# computed by the G2 kernel) or precomputed lists by item id, such as a
-# bundle's. Either way its items are exactly the items with usage data.
-NeighborSource = UsageMatrix | Mapping[str, NeighborList]
-
-
 def reverse_links(link: Mapping[str, str],
                   items: Collection[str]) -> dict[str, str]:
     """Entity IRI -> the smallest item among items that links to it."""
@@ -118,18 +113,17 @@ def reverse_links(link: Mapping[str, str],
 
 
 class SummaryContext:
-    """What every summary over one store, link map and neighbor source
-    shares, built once: the typed universe, the items with usage data,
-    the reverse link index, each item's linked entity (resolved on first
-    use), each feature's global support (counted on first use) and the
-    knn predicate its summaries exclude from features."""
+    """What every summary over one store, link map and set of neighbor lists
+    shares, built once: the typed universe, the items with usage data (those
+    with a list), the reverse link index, each item's linked entity
+    (resolved on first use), each feature's global support (counted on
+    first use) and the knn predicate its summaries exclude from features."""
 
-    def __init__(self, store: TripleStore, source: NeighborSource,
+    def __init__(self, store: TripleStore, lists: Mapping[str, NeighborList],
                  link: Mapping[str, str], knn_predicate: Term,
                  type_filter: Term):
         self.universe = entity_universe(store, type_filter)
-        self.items = (source.item_index if isinstance(source, UsageMatrix)
-                      else source)
+        self.items = lists
         self.linked_item = reverse_links(link, self.items)
         self.linked_entity = cache(partial(store.linked_entity, link=link))
         self.support = store.support_counter(self.universe)
@@ -151,7 +145,7 @@ def _resolve_target(e: str, link: Mapping[str, str], store: TripleStore,
     return context.linked_item.get(e), entity
 
 
-def summarize(store: TripleStore, source: NeighborSource,
+def summarize(store: TripleStore, lists: Mapping[str, NeighborList],
               link: Mapping[str, str], e: str, *,
               knn_predicate: Term, type_filter: Term,
               k: int = DEFAULT_K, n: int = DEFAULT_N,
@@ -160,16 +154,16 @@ def summarize(store: TripleStore, source: NeighborSource,
     """End-to-end summary: neighborhood, witness collection, weighting,
     descending sort, truncation to the top n features.
 
-    source is a UsageMatrix, whose lists the G2 kernel computes (the k
-    best without tau, every item scoring above tau with it), or
-    precomputed neighbor lists by item id, used as they are. A caller
-    summarizing many entities builds one SummaryContext from the same
-    store, source, link map and predicates and passes it to every call.
+    lists maps each item with usage data to its neighbor list, as
+    all_pairs_knn(m, k) or all_pairs_knn(m, tau=tau) computes it; k and tau
+    only label the summary. A caller summarizing many entities builds one
+    SummaryContext from the same store, lists, link map and predicates and
+    passes it to every call.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if context is None:
-        context = SummaryContext(store, source, link, knn_predicate,
+        context = SummaryContext(store, lists, link, knn_predicate,
                                  type_filter)
     item_id, entity = _resolve_target(e, link, store, context)
     if entity not in context.universe:
@@ -179,13 +173,8 @@ def summarize(store: TripleStore, source: NeighborSource,
     mode = FIXED_K if tau is None else f"{THRESHOLD}({tau:g})"
     if item_id is None:
         return Summary(entity, k, [], STATUS_NO_USAGE, mode)
-    if not isinstance(source, UsageMatrix):
-        nl = source[item_id]
-    elif tau is None:
-        nl = k_nearest_neighbors(source, item_id, k)
-    else:
-        nl = neighbors_above_threshold(source, item_id, tau)
-    linked = {context.linked_entity(item) for item, _score in nl.neighbors}
+    linked = {context.linked_entity(item)
+              for item, _score in lists[item_id].neighbors}
     weighted = _weigh(store, entity, linked, context.universe, context.support,
                       context.knn_predicate, two_hop)
     return Summary(entity, k, weighted[:n], STATUS_OK, mode)

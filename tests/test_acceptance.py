@@ -169,7 +169,7 @@ def test_criterion_8_two_hop_oracle_equivalence():
     for _ in range(100):
         store, triples, _ = random_two_hop_store(rng)
         assert len(triples) <= 200
-        typed = store.typed(FILM)
+        typed = entity_universe(store, FILM)
         for e in sorted(typed, key=lambda t: t.lexical):
             neighbors = (store.objects_of(e, KNN) & typed) - {e}
             assert store.shared_two_hop_paths(e, neighbors, (KNN,)) == \

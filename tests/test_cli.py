@@ -19,12 +19,12 @@ import pytest
 
 import knnsum
 
-from conftest import (EX, FILM_TYPE, KNN_PRED, eight_film_pairs,
+from conftest import (EX, FILM_TYPE, FILMS, KNN_PRED, eight_film_pairs,
                       eight_film_triples, film_iri, write_eight_film_corpus)
 from knnsum.cli import (PipelineConfig, main, matrix_digest,
                         render_summary_structured, write_bundle)
 from knnsum.similarity import NeighborList, all_pairs_knn
-from knnsum.rdf import iri
+from knnsum.rdf import RDF_TYPE, iri
 from knnsum.summarize import summarize
 from knnsum.usage import RatingsFormat, UsageMatrix, ingest_ratings
 from knnsum.rdf import load_ntriples
@@ -451,7 +451,7 @@ def test_cli_output_equals_library_summarize(eight_film_corpus, capsys):
     with eight_film_corpus.triples.open() as fh:
         store, _ = load_ntriples(fh)
     links = load_links(str(eight_film_corpus.links))
-    summary = summarize(store, matrix, links, "m1",
+    summary = summarize(store, all_pairs_knn(matrix, 20), links, "m1",
                         knn_predicate=iri(KNN_PRED),
                         type_filter=iri(FILM_TYPE))
     for wf in summary.features:
@@ -610,7 +610,8 @@ def test_readme_library_example_runs(eight_film_corpus):
 
     with eight_film_corpus.ratings.open() as fh:
         matrix = ingest_ratings(fh).matrix
-    summary = summarize(knnsum.TripleStore(eight_film_triples()), matrix,
+    summary = summarize(knnsum.TripleStore(eight_film_triples()),
+                        all_pairs_knn(matrix, 20),
                         load_links(str(eight_film_corpus.links)), "m1",
                         knn_predicate=iri(KNN_PRED),
                         type_filter=iri(FILM_TYPE))
@@ -733,8 +734,9 @@ def test_two_hop_never_follows_knn_edges(eight_film_corpus, capsys):
     with eight_film_corpus.triples.open() as fh:
         store, _ = load_ntriples(fh)
     links = load_links(str(eight_film_corpus.links))
-    store.materialize_knn(all_pairs_knn(matrix, 20), links, iri(KNN_PRED))
-    summaries = [summarize(store, matrix, links, t, two_hop=True,
+    lists = all_pairs_knn(matrix, 20)
+    store.materialize_knn(lists, links, iri(KNN_PRED))
+    summaries = [summarize(store, lists, links, t, two_hop=True,
                            knn_predicate=iri(KNN_PRED),
                            type_filter=iri(FILM_TYPE)) for t in targets]
     assert out == "\n".join(map(render_summary_structured, summaries))
@@ -775,7 +777,7 @@ EIGHT_FILM_OUTPUTS = {
     "build": (
         "f47a0f50bae51c746d727acfc3a9c329986da72670045913053d6336590f4188"),
     "bundle.json": (
-        "17174f3f61b2e8db92193dc2b53439655d4b39106d81b2ad4d4463ee2788e4fc"),
+        "e44421cde63430952cad4d00a2652b2e30dd051956cb973370cae5b5317ff2b5"),
     "summarize --all": (
         "8b8975aef752599654ffbafb49d7f2f4c6b9a1a1408b7ef448609d1b7255856c"),
     "summarize --all --two-hop --format structured": (
@@ -1001,7 +1003,8 @@ def test_bundle_bytes_equal_the_streamed_json_encoding(tmp_path):
     write_bundle(str(bundle), matrix, lists, cfg, 4,
                  {"unmatched_items": ["\U0001f3ac"]},
                  knnsum.TripleStore(eight_film_triples()),
-                 {"sha256": "0" * 64, "size": 0})
+                 {"sha256": "0" * 64, "size": 0},
+                 {"sha256": "1" * 64, "size": 1})
     written = bundle.read_bytes()
     payload = json.loads(written)
     assert payload["threshold"] is None
@@ -1063,7 +1066,7 @@ def _snapshot_of_another_build(corpus) -> None:
 
 def _as_version_1(corpus) -> None:
     payload = json.loads(corpus.bundle.read_text())
-    for name in ("format_version", "graph", "snapshot"):
+    for name in ("format_version", "graph", "links", "snapshot"):
         del payload[name]
     corpus.bundle.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
@@ -1096,7 +1099,7 @@ BUNDLE_PAIR_DAMAGE = {
         f"python_version = '{sys.version_info[0]}.{sys.version_info[1]}'; "),
     "version 1 bundle": (
         _as_version_1, "has format_version = None, but this knnsum reads "
-                       "format_version = 2; "),
+                       "format_version = 3; "),
 }
 
 
@@ -1117,6 +1120,45 @@ def test_stale_or_damaged_bundle_pair_is_refused(eight_film_corpus, capsys,
     assert captured.err.count("\n") == 1
     if damage != "snapshot missing":  # a file that cannot be read
         assert captured.err.endswith("; rebuild the bundle\n")
+
+
+def test_link_map_edited_after_build_is_refused(eight_film_corpus, capsys):
+    c = eight_film_corpus
+    cfg = ["--config", str(c.config)]
+    assert build(c) == 0
+    capsys.readouterr()
+    assert main(["neighbors", *cfg, "m1"]) == 0
+    by_item_id = capsys.readouterr()
+    built = hashlib.sha256(c.links.read_bytes()).hexdigest()
+    # m1 now names M5: the same size, another entity
+    _edit(c.links, lambda b: b.replace(b"/M1\n", b"/M5\n"))
+    edited = hashlib.sha256(c.links.read_bytes()).hexdigest()
+    refusal = (
+        f"error: bundle {str(c.bundle)!r} records links.sha256 = {built!r}, "
+        f"but {str(c.links)!r} has sha256 = {edited!r}; rebuild the bundle\n")
+    for command, target in (("summarize", "m1"),
+                            ("neighbors", film_iri("m5"))):
+        assert main([command, *cfg, target]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", refusal)
+    # neighbors by item id reads no link map
+    assert main(["neighbors", *cfg, "m1"]) == 0
+    assert capsys.readouterr() == by_item_id
+
+
+def test_summarize_all_skips_typed_blank_nodes(eight_film_corpus, capsys):
+    # no link map entry can name a blank node, so no target can
+    with eight_film_corpus.triples.open("a") as fh:
+        fh.write(f"_:b1 <{RDF_TYPE.lexical}> <{FILM_TYPE}> .\n")
+    assert build(eight_film_corpus) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--config", str(eight_film_corpus.config),
+                 "--all"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split("\t")[0] for line in captured.out.splitlines()
+            if line.startswith("#")] == [f"# <{film_iri(m)}>"
+                                         for m in sorted(FILMS)]
 
 
 def test_neighbors_reads_neither_graph_nor_snapshot(eight_film_corpus,

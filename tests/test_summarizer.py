@@ -198,7 +198,9 @@ def summ(e, **kw):
     store, matrix, links = build_world()
     kw.setdefault("k", 20)
     kw.setdefault("n", 10)
-    return summarize(store, matrix, links, e,
+    lists = (all_pairs_knn(matrix, kw["k"]) if kw.get("tau") is None
+             else all_pairs_knn(matrix, tau=kw["tau"]))
+    return summarize(store, lists, links, e,
                      knn_predicate=KNN_TERM, type_filter=FILM_TERM, **kw)
 
 
@@ -248,7 +250,7 @@ def test_summarize_entity_without_usage_data():
     extra = iri(EX + "film/M9")
     store.add(Triple(extra, RDF_TYPE, FILM_TERM))
     links["m9"] = extra.lexical
-    s = summarize(store, matrix, links, "m9",
+    s = summarize(store, all_pairs_knn(matrix, 20), links, "m9",
                   knn_predicate=KNN_TERM, type_filter=FILM_TERM)
     assert s.status == STATUS_NO_USAGE
     assert s.features == []
@@ -269,14 +271,14 @@ def test_summarize_agrees_with_feature_weights_after_materialization():
     for m in sorted(links):
         entity = iri(links[m])
         via_store = feature_weights(store, entity, universe, KNN_TERM)
-        via_pipeline = summarize(store, matrix, links, m, n=100,
+        via_pipeline = summarize(store, lists, links, m, n=100,
                                  knn_predicate=KNN_TERM, type_filter=FILM_TERM)
         assert via_pipeline.features == via_store
         assert all(wf.feature.property != KNN_TERM
                    for wf in via_pipeline.features)
 
 
-def test_summarize_from_neighbor_lists_equals_from_matrix():
+def test_summarize_with_a_context_equals_without():
     store, matrix, links = build_world()
     extra = iri(EX + "film/M9")
     store.add(Triple(extra, RDF_TYPE, FILM_TERM))
@@ -285,8 +287,7 @@ def test_summarize_from_neighbor_lists_equals_from_matrix():
     context = SummaryContext(store, lists, links, KNN_TERM, FILM_TERM)
     kw = dict(knn_predicate=KNN_TERM, type_filter=FILM_TERM)
     for e in [*sorted(links), film_iri("m2")]:
-        want = summarize(store, matrix, links, e, **kw)
-        assert summarize(store, lists, links, e, **kw) == want
+        want = summarize(store, lists, links, e, **kw)
         assert summarize(store, lists, links, e, context=context, **kw) == want
     assert summarize(store, lists, links, "m9", **kw).status == STATUS_NO_USAGE
 
@@ -312,8 +313,8 @@ def two_hop_world():
 
 def test_summarize_two_hop_weight():
     store, matrix, links, composite = two_hop_world()
-    s = summarize(store, matrix, links, "ie", two_hop=True,
-                  knn_predicate=KNN, type_filter=FILM)
+    s = summarize(store, all_pairs_knn(matrix, 20), links, "ie",
+                  two_hop=True, knn_predicate=KNN, type_filter=FILM)
     assert len(s.features) == 1
     wf = s.features[0]
     assert wf.feature == composite
@@ -324,8 +325,8 @@ def test_summarize_two_hop_weight():
 def test_summarize_two_hop_no_paths_is_empty():
     store, matrix, links, _ = two_hop_world()
     bare = TripleStore(t for t in store if t.predicate == RDF_TYPE)
-    s = summarize(bare, matrix, links, "ie", two_hop=True,
-                  knn_predicate=KNN, type_filter=FILM)
+    s = summarize(bare, all_pairs_knn(matrix, 20), links, "ie",
+                  two_hop=True, knn_predicate=KNN, type_filter=FILM)
     assert s.features == []
 
 
@@ -337,8 +338,8 @@ def test_summarize_two_hop_universal_composite_weighs_zero():
         mid = iri(f"http://x/extra{i}")
         store.add(Triple(f, composite.first, mid))
         store.add(Triple(mid, composite.second, composite.terminal))
-    s = summarize(store, matrix, links, "ie", two_hop=True,
-                  knn_predicate=KNN, type_filter=FILM)
+    s = summarize(store, all_pairs_knn(matrix, 20), links, "ie",
+                  two_hop=True, knn_predicate=KNN, type_filter=FILM)
     wf = {w.feature: w for w in s.features}[composite]
     assert wf.global_support == 4
     assert wf.weight == 0.0

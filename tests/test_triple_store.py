@@ -12,6 +12,7 @@ from knnsum.rdf import (RDF_TYPE, Feature, NTriplesError, PathFeature, Term,
                         Triple, TripleStore, _unescape, blank, iri, literal,
                         load_ntriples, term_to_ntriples, write_ntriples)
 from knnsum.similarity import NeighborList
+from knnsum.summarize import entity_universe
 from oracles import (FILM, KNN, brute_one_hop, brute_two_hop, random_store,
                      random_two_hop_store, reference_load, reference_unescape)
 
@@ -26,7 +27,7 @@ def load(text):
 
 def knn_neighbors(store, e):
     """The typed entities e links to by knn edges, e itself excluded."""
-    return (store.objects_of(e, KNN) & store.typed(FILM)) - {e}
+    return (store.objects_of(e, KNN) & entity_universe(store, FILM)) - {e}
 
 
 def shared_one_hop(store, e):
@@ -326,7 +327,7 @@ def test_index_consistency_on_random_store():
     # type index agrees with a raw filter
     typed = {t.subject for t in tset
              if t.predicate == RDF_TYPE and t.object == FILM}
-    assert store.typed(FILM) == typed
+    assert entity_universe(store, FILM) == typed
 
 
 def test_feature_set_excludes_given_predicates():
@@ -352,9 +353,9 @@ def test_entities_with_feature_and_type_filter():
         Triple(e1, RDF_TYPE, film), Triple(e2, RDF_TYPE, film),
     ])
     assert store.subjects_with(P, B) == {e1, e2, e3}
-    assert store.subjects_with(P, B) & store.typed(film) == {e1, e2}
+    assert store.subjects_with(P, B) & entity_universe(store, film) == {e1, e2}
     assert store.subjects_with(P, iri("http://x/nope")) == set()
-    assert store.typed(iri("http://x/Nothing")) == set()
+    assert entity_universe(store, iri("http://x/Nothing")) == set()
 
 
 # -- shared one-hop features --------------------------------------------------------
@@ -395,7 +396,8 @@ def test_shared_one_hop_matches_brute_force_on_random_stores():
     rng = random.Random(21)
     for _ in range(40):
         store, triples = random_store(rng, max_entities=20)
-        for e in sorted(store.typed(FILM), key=lambda t: t.lexical)[:5]:
+        universe = entity_universe(store, FILM)
+        for e in sorted(universe, key=lambda t: t.lexical)[:5]:
             assert shared_one_hop(store, e) == \
                 brute_one_hop(triples, e, KNN, FILM)
 
@@ -444,7 +446,8 @@ def test_shared_two_hop_matches_brute_force_on_random_stores():
     rng = random.Random(31)
     for _ in range(40):
         store, triples, _ = random_two_hop_store(rng)
-        for e in sorted(store.typed(FILM), key=lambda t: t.lexical)[:4]:
+        universe = entity_universe(store, FILM)
+        for e in sorted(universe, key=lambda t: t.lexical)[:4]:
             assert shared_two_hop(store, e) == \
                 brute_two_hop(triples, e, KNN, FILM)
 
