@@ -14,9 +14,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from functools import partial
-from typing import (IO, Iterable, Mapping, Sequence, get_args,
-                    get_type_hints)
+from typing import (IO, Callable, Iterable, Mapping, Sequence, TypeVar,
+                    get_args, get_type_hints)
 
 from .rdf import (DEFAULT_KNN_PREDICATE, IRI, TripleStore,
                   _no_cycle_collection, iri, load_ntriples, term_to_ntriples)
@@ -27,7 +26,7 @@ from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
 from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
                         Summary, SummaryContext, reverse_links, summarize)
-from .textio import NOT_UTF8, open_text, undecodable
+from .textio import NOT_UTF8, read_text, undecodable
 from .usage import RatingsFormat, UsageMatrix, ingest_ratings
 
 EXIT_OK = 0
@@ -126,7 +125,8 @@ def _config_value(key: str, value: str):
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; # starts a comment; blank lines ignored."""
     values: dict = {}
-    with open_text(path) as fh:
+    _data, text = read_text(path)
+    with text as fh:
         for line_no, raw in enumerate(fh, start=1):
             if undecodable(raw):
                 raise ValueError(f"{path}:{line_no}: {NOT_UTF8}")
@@ -146,41 +146,33 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def load_links(path: str) -> dict[str, str]:
-    """Static link map: ``item_id <TAB> entity_iri`` per line."""
+def load_links(lines: Iterable[str], path: str) -> dict[str, str]:
+    """Static link map: ``item_id <TAB> entity_iri`` per line of lines,
+    read from the file at path, which diagnostics name. A line with
+    another number of fields, or one that links an item already linked to
+    another IRI, is refused: either would leave an item's entity a guess."""
     links: dict[str, str] = {}
-    with open_text(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if undecodable(raw):
-                raise ValueError(f"{path}:{line_no}: {NOT_UTF8}")
-            line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{line_no}: expected item_id<TAB>iri")
-            links[parts[0]] = parts[1]
+    for line_no, raw in enumerate(lines, start=1):
+        if undecodable(raw):
+            raise ValueError(f"{path}:{line_no}: {NOT_UTF8}")
+        line = raw.rstrip("\r\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ValueError(f"{path}:{line_no}: expected item_id<TAB>iri")
+        item, target = parts
+        if links.setdefault(item, target) != target:
+            raise ValueError(f"{path}:{line_no}: item {item!r} is already "
+                             f"linked to {links[item]!r}")
     return links
-
-
-def matrix_digest(matrix: UsageMatrix) -> str:
-    """sha256 of each item, in order, followed by its raters in order."""
-    users = [user.encode() + b"\x01" for user in matrix.users]
-    indptr = matrix.by_item.indptr.tolist()
-    indices = matrix.by_item.indices.tolist()
-    h = hashlib.sha256()
-    for i, item in enumerate(matrix.items):
-        h.update(item.encode() + b"\x00")
-        h.update(b"".join([users[j]
-                           for j in indices[indptr[i]:indptr[i + 1]]]))
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 # -- bundle ------------------------------------------------------------------
 
 # The bundle layout that build writes and the lookups read: version 3 adds
-# the link map's fingerprint to version 2's graph and snapshot ones.
+# the link map's fingerprint to version 2's graph and snapshot ones (and
+# the ratings file's, which no lookup reads).
 FORMAT_VERSION = 3
 
 
@@ -189,27 +181,30 @@ def _snapshot_path(bundle: str) -> str:
     return f"{bundle}.graph"
 
 
-def _fingerprint(chunks: Iterable[bytes]) -> dict:
-    """The size and sha256 of the bytes the chunks make up."""
-    h, size = hashlib.sha256(), 0
-    for chunk in chunks:
-        h.update(chunk)
-        size += len(chunk)
-    return {"sha256": h.hexdigest(), "size": size}
+def _fingerprint(data: bytes) -> dict:
+    """The size and sha256 of data."""
+    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
 
 
-def _file_fingerprint(path: str) -> dict:
-    """The size and sha256 of the file at path, read 64 KiB at a time."""
-    with open(path, "rb") as fh:
-        return _fingerprint(iter(partial(fh.read, 1 << 16), b""))
+_Parsed = TypeVar("_Parsed")
+
+
+def _parse_input(what: str, path: str, parse: Callable[[IO[str]], _Parsed]
+                 ) -> tuple[dict, _Parsed]:
+    """The _fingerprint of the file at path, and what parse makes of its
+    text, from one read: what is vouched for is what was parsed."""
+    with _reading(what, path):
+        data, text = read_text(path)
+        with text:
+            return _fingerprint(data), parse(text)
 
 
 def write_bundle(path: str, matrix: UsageMatrix,
                  lists: Mapping[str, NeighborList], cfg: PipelineConfig,
                  knn_added: int, diagnostics: dict, store: TripleStore,
-                 graph: dict, links: dict) -> None:
-    """Write the bundle at path and the store's snapshot beside it; graph and
-    links are the _file_fingerprint of the graph file and of the link map."""
+                 inputs: Mapping[str, dict]) -> None:
+    """Write the bundle at path and the store's snapshot beside it; inputs
+    maps ratings, graph and links to the _fingerprint of each input file."""
     # Each file goes to a temporary file beside it, and is synced to disk.
     # Only once both are complete does each replace its previous file, the
     # snapshot first, so a failed write leaves the previous pair as it was,
@@ -228,16 +223,14 @@ def write_bundle(path: str, matrix: UsageMatrix,
 
     try:
         data = store.snapshot()
-        snapshot = _fingerprint([data])
+        snapshot = _fingerprint(data)
         stage("graph snapshot", _snapshot_path(path), "wb",
               lambda fh: fh.write(data))
         del data  # not held while the bundle is made and written
         payload = {
             "format_version": FORMAT_VERSION,
-            "graph": graph,
-            "links": links,
+            **inputs,
             "snapshot": snapshot,
-            "matrix_digest": matrix_digest(matrix),
             "users": len(matrix.users),
             "items": len(matrix.items),
             "k": cfg.k,
@@ -342,13 +335,13 @@ def _load_graph(cfg: PipelineConfig, bundle: dict) -> TripleStore:
     """The store in the bundle's graph snapshot. The graph at cfg.triples
     and the snapshot must match the fingerprints the bundle records; the
     snapshot's is checked before a byte of it is unmarshalled."""
-    with _reading("triples file", cfg.triples):
-        graph = _file_fingerprint(cfg.triples)
+    with _reading("triples file", cfg.triples), open(cfg.triples, "rb") as fh:
+        graph = _fingerprint(fh.read())
     _check_fingerprint(cfg, bundle, "graph", cfg.triples, graph)
     path = _snapshot_path(cfg.bundle)
     with _reading("graph snapshot", path), open(path, "rb") as fh:
         data = fh.read()
-    _check_fingerprint(cfg, bundle, "snapshot", path, _fingerprint([data]))
+    _check_fingerprint(cfg, bundle, "snapshot", path, _fingerprint(data))
     try:
         return TripleStore.from_snapshot(data)
     except ValueError as exc:
@@ -356,12 +349,16 @@ def _load_graph(cfg: PipelineConfig, bundle: dict) -> TripleStore:
             f"graph snapshot {path!r} {exc}; rebuild the bundle") from None
 
 
+def _read_links(cfg: PipelineConfig) -> tuple[dict, dict[str, str]]:
+    """The link map at cfg.links: its _fingerprint and its parse."""
+    return _parse_input("link map", cfg.links,
+                        lambda fh: load_links(fh, cfg.links))
+
+
 def _load_checked_links(cfg: PipelineConfig, bundle: dict) -> dict[str, str]:
     """The link map at cfg.links, refused unless the bundle records its
     fingerprint; parsed first, so a malformed line is named by number."""
-    with _reading("link map", cfg.links):
-        links = load_links(cfg.links)
-        found = _file_fingerprint(cfg.links)
+    found, links = _read_links(cfg)
     _check_fingerprint(cfg, bundle, "links", cfg.links, found)
     return links
 
@@ -435,15 +432,13 @@ def _writing(what: str, path: str):
 
 
 def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
-    with _reading("ratings file", cfg.ratings), open_text(cfg.ratings) as fh:
-        ingest = ingest_ratings(fh, cfg.ratings_format())
-    with _reading("triples file", cfg.triples):
-        graph = _file_fingerprint(cfg.triples)
-        with open_text(cfg.triples) as fh:
-            store, triple_diags = load_ntriples(fh)
-    with _reading("link map", cfg.links):
-        link_file = _file_fingerprint(cfg.links)
-        links = load_links(cfg.links)
+    inputs = {}
+    inputs["ratings"], ingest = _parse_input(
+        "ratings file", cfg.ratings,
+        lambda fh: ingest_ratings(fh, cfg.ratings_format()))
+    inputs["graph"], (store, triple_diags) = _parse_input(
+        "triples file", cfg.triples, load_ntriples)
+    inputs["links"], links = _read_links(cfg)
     matrix = ingest.matrix
     lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
                           tau=cfg.threshold)
@@ -462,7 +457,7 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
         "skipped_links": skipped,
     }
     write_bundle(cfg.bundle, matrix, lists, cfg, knn_added, diagnostics,
-                 store, graph, link_file)
+                 store, inputs)
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
     log.write(f"rejected ratings lines: {ingest.rejected_count}\n")
@@ -491,8 +486,6 @@ def cmd_neighbors(cfg: PipelineConfig, target: str) -> int:
 
 def cmd_summarize(cfg: PipelineConfig, targets: Sequence[str],
                   all_entities: bool) -> int:
-    if not all_entities and not targets:
-        raise _CommandError("no entities requested (pass ids or --all)")
     # a summary's features depend on both; a neighbor list on neither
     bundle, lists = _load_bundle(cfg, ("knn_predicate", "type_filter"))
     store = _load_graph(cfg, bundle)
@@ -592,6 +585,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    # summarize takes targets or --all, checked before any file is read
+    if args.command == "summarize" and bool(args.targets) == args.all:
+        raise _CommandError("pass entity ids or --all, not both" if args.all
+                            else "no entities requested (pass ids or --all)")
     try:
         cfg = build_config(args)
     except (ValueError, OSError) as exc:

@@ -261,12 +261,6 @@ class TripleStore:
                 for o in objects:
                     yield p, o
 
-    def feature_set(self, e: Term,
-                    excluded_predicates: Iterable[Term] = ()) -> set[Feature]:
-        """All (property, value) pairs of e, minus the excluded predicates."""
-        pairs = self._features(self._id(e), self._id_set(excluded_predicates))
-        return {Feature(self._terms[p], self._terms[o]) for p, o in pairs}
-
     def support_counter(self, universe: Iterable[Term]
                         ) -> Callable[[Feature | PathFeature], int]:
         """How many entities of the universe, read once here, hold a

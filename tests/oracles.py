@@ -170,6 +170,19 @@ def reference_load(lines: list[str]) -> tuple[set[Triple], list[Diagnostic]]:
 
 # -- triple scans --------------------------------------------------------------
 
+def brute_features(triples: list[Triple], e: Term, knn: Term, *,
+                   two_hop: bool = False) -> set[Feature | PathFeature]:
+    """e's own features from a raw triple scan: each (p, o) of e, or with
+    two_hop each (p, q, t) path from e through any node; no knn edge at
+    either hop."""
+    first = [t for t in triples if t.subject == e and t.predicate != knn]
+    if not two_hop:
+        return {Feature(t.predicate, t.object) for t in first}
+    return {PathFeature(t1.predicate, t2.predicate, t2.object)
+            for t1 in first for t2 in triples
+            if t2.subject == t1.object and t2.predicate != knn}
+
+
 def brute_one_hop(triples: list[Triple], e: Term, knn: Term,
                   type_iri: Term) -> dict[Feature, set[Term]]:
     tset = set(triples)

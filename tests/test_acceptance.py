@@ -24,9 +24,9 @@ from knnsum.rdf import (Triple, TripleStore, iri, load_ntriples,
 from knnsum.similarity import all_pairs_knn, log_likelihood_ratio
 from knnsum.summarize import entity_universe, feature_weights
 from knnsum.usage import ContingencyTable, UsageMatrix
-from oracles import (FILM, KNN, brute_feature_weights, g2_oracle, knn_oracle,
-                     random_store, random_two_hop_store, brute_two_hop,
-                     rater_sets)
+from oracles import (FILM, KNN, brute_feature_weights, brute_features,
+                     g2_oracle, knn_oracle, random_store,
+                     random_two_hop_store, brute_two_hop, rater_sets)
 
 
 def report(n, text):
@@ -130,7 +130,8 @@ def test_criterion_6_downgrading_universal_features():
     seen = 0
     for store, triples in _random_store_cases():
         universe = entity_universe(store, FILM)
-        universal = {f for f in store.feature_set(next(iter(universe)), (KNN,))
+        universal = {f for f in brute_features(triples, next(iter(universe)),
+                                               KNN)
                      if universe <= store.subjects_with(f.property, f.value)}
         for e in universe:
             for wf in feature_weights(store, e, universe, KNN):

@@ -1,3 +1,4 @@
+import builtins
 import codecs
 import errno
 import gc
@@ -19,10 +20,11 @@ import pytest
 
 import knnsum
 
-from conftest import (EX, FILM_TYPE, FILMS, KNN_PRED, eight_film_pairs,
-                      eight_film_triples, film_iri, write_eight_film_corpus)
-from knnsum.cli import (PipelineConfig, main, matrix_digest,
-                        render_summary_structured, write_bundle)
+from conftest import (EX, FILM_TYPE, FILMS, KNN_PRED, eight_film_triples,
+                      film_iri, write_eight_film_corpus)
+from knnsum import cli as knnsum_cli
+from knnsum.cli import (PipelineConfig, main, render_summary_structured,
+                        write_bundle)
 from knnsum.similarity import NeighborList, all_pairs_knn
 from knnsum.rdf import RDF_TYPE, iri
 from knnsum.summarize import summarize
@@ -41,6 +43,12 @@ def build(corpus, *extra):
 def snapshot_of(corpus) -> Path:
     """The graph snapshot that build writes beside the corpus's bundle."""
     return corpus.bundle.with_name(corpus.bundle.name + ".graph")
+
+
+def read_links(path: Path) -> dict[str, str]:
+    """The link map at path, parsed as the commands parse it."""
+    with path.open(encoding="utf-8") as fh:
+        return load_links(fh, str(path))
 
 
 def test_build_reports_counts(eight_film_corpus, capsys):
@@ -77,7 +85,7 @@ def test_build_counts_knn_triples_by_the_materialize_rule(eight_film_corpus,
     with c.triples.open("a", encoding="utf-8") as fh:  # two edges already in
         fh.write(f"<{film_iri('m1')}> {knn} <{film_iri('m2')}> .\n"
                  f"<{film_iri('m5')}> {knn} <{film_iri('m6')}> .\n")
-    links = {**load_links(str(c.links)), "m4": film_iri("m3")}
+    links = {**read_links(c.links), "m4": film_iri("m3")}
     del links["m8"]  # a neighbor of m5, m6 and m7 with no entity
     c.links.write_text("".join(f"{i}\t{e}\n" for i, e in links.items()))
     assert build(c) == 0
@@ -450,7 +458,7 @@ def test_cli_output_equals_library_summarize(eight_film_corpus, capsys):
         matrix = ingest_ratings(fh, RatingsFormat(rating_col=2)).matrix
     with eight_film_corpus.triples.open() as fh:
         store, _ = load_ntriples(fh)
-    links = load_links(str(eight_film_corpus.links))
+    links = read_links(eight_film_corpus.links)
     summary = summarize(store, all_pairs_knn(matrix, 20), links, "m1",
                         knn_predicate=iri(KNN_PRED),
                         type_filter=iri(FILM_TYPE))
@@ -612,7 +620,7 @@ def test_readme_library_example_runs(eight_film_corpus):
         matrix = ingest_ratings(fh).matrix
     summary = summarize(knnsum.TripleStore(eight_film_triples()),
                         all_pairs_knn(matrix, 20),
-                        load_links(str(eight_film_corpus.links)), "m1",
+                        read_links(eight_film_corpus.links), "m1",
                         knn_predicate=iri(KNN_PRED),
                         type_filter=iri(FILM_TYPE))
     assert summary.features
@@ -733,7 +741,7 @@ def test_two_hop_never_follows_knn_edges(eight_film_corpus, capsys):
         matrix = ingest_ratings(fh, RatingsFormat(rating_col=2)).matrix
     with eight_film_corpus.triples.open() as fh:
         store, _ = load_ntriples(fh)
-    links = load_links(str(eight_film_corpus.links))
+    links = read_links(eight_film_corpus.links)
     lists = all_pairs_knn(matrix, 20)
     store.materialize_knn(lists, links, iri(KNN_PRED))
     summaries = [summarize(store, lists, links, t, two_hop=True,
@@ -759,15 +767,17 @@ def test_traced_patch_points_are_still_bound(monkeypatch):
         assert attr in vars(owner), (owner, attr)
 
 
-EIGHT_FILM_DIGEST = (
-    "24a4277be46416e4b9e1d06d6b10aeabae3ce4ae15011b1974d67526f8f03876")
-
-
-def test_matrix_digest_of_eight_films_is_pinned(eight_film_corpus, capsys):
-    assert matrix_digest(UsageMatrix(eight_film_pairs())) == EIGHT_FILM_DIGEST
+def test_bundle_records_each_input_file_fingerprint(eight_film_corpus,
+                                                    capsys):
     assert build(eight_film_corpus) == 0
     bundle = json.loads(eight_film_corpus.bundle.read_text())
-    assert bundle["matrix_digest"] == EIGHT_FILM_DIGEST
+    for field, path in (("ratings", eight_film_corpus.ratings),
+                        ("graph", eight_film_corpus.triples),
+                        ("links", eight_film_corpus.links)):
+        data = path.read_bytes()
+        assert bundle[field] == {"sha256": hashlib.sha256(data).hexdigest(),
+                                 "size": len(data)}
+    assert "matrix_digest" not in bundle
 
 
 # sha256 of each output on the 8-film fixture; build's last line, which
@@ -777,7 +787,7 @@ EIGHT_FILM_OUTPUTS = {
     "build": (
         "f47a0f50bae51c746d727acfc3a9c329986da72670045913053d6336590f4188"),
     "bundle.json": (
-        "e44421cde63430952cad4d00a2652b2e30dd051956cb973370cae5b5317ff2b5"),
+        "e122639a0b7fe9dc9f94a172134e988e9b20aa6ea18db2449888f111e9ab3945"),
     "summarize --all": (
         "8b8975aef752599654ffbafb49d7f2f4c6b9a1a1408b7ef448609d1b7255856c"),
     "summarize --all --two-hop --format structured": (
@@ -841,6 +851,8 @@ def test_help_outputs_are_pinned(monkeypatch, capsys):
 def test_config_delimiter_is_read_as_written(eight_film_corpus, capsys,
                                              spelled, delimiter):
     # a backslash escape is decoded; any other character is taken as is
+    assert build(eight_film_corpus) == 0
+    tab_separated = json.loads(eight_film_corpus.bundle.read_text())
     ratings = eight_film_corpus.ratings
     ratings.write_text(ratings.read_text(encoding="utf-8").replace(
         "\t", delimiter), encoding="utf-8")
@@ -849,7 +861,8 @@ def test_config_delimiter_is_read_as_written(eight_film_corpus, capsys,
     assert build(eight_film_corpus) == 0
     assert "rejected ratings lines: 0\n" in capsys.readouterr().out
     bundle = json.loads(eight_film_corpus.bundle.read_text())
-    assert bundle["matrix_digest"] == EIGHT_FILM_DIGEST
+    for field in ("users", "items", "neighbors"):  # the same usage matrix
+        assert bundle[field] == tab_separated[field]
 
 
 @pytest.mark.parametrize("command", [
@@ -1003,8 +1016,8 @@ def test_bundle_bytes_equal_the_streamed_json_encoding(tmp_path):
     write_bundle(str(bundle), matrix, lists, cfg, 4,
                  {"unmatched_items": ["\U0001f3ac"]},
                  knnsum.TripleStore(eight_film_triples()),
-                 {"sha256": "0" * 64, "size": 0},
-                 {"sha256": "1" * 64, "size": 1})
+                 {name: {"sha256": str(i) * 64, "size": i} for i, name in
+                  enumerate(("ratings", "graph", "links"))})
     written = bundle.read_bytes()
     payload = json.loads(written)
     assert payload["threshold"] is None
@@ -1066,7 +1079,7 @@ def _snapshot_of_another_build(corpus) -> None:
 
 def _as_version_1(corpus) -> None:
     payload = json.loads(corpus.bundle.read_text())
-    for name in ("format_version", "graph", "links", "snapshot"):
+    for name in ("format_version", "graph", "links", "ratings", "snapshot"):
         del payload[name]
     corpus.bundle.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
@@ -1174,3 +1187,86 @@ def test_neighbors_reads_neither_graph_nor_snapshot(eight_film_corpus,
     assert [(main(["neighbors", *cfg, *target]), capsys.readouterr())
             for target in lookups] == expected
     assert [code for code, _ in expected] == [0, 0]
+
+
+@pytest.mark.parametrize("command, target", [
+    ("summarize", "m1"), ("neighbors", film_iri("m5"))])
+def test_link_map_swapped_while_it_is_read_is_refused(
+        eight_film_corpus, capsys, monkeypatch, command, target):
+    # the map is parsed with m1 naming M5, then put back as build read it:
+    # the map that was parsed is the one the fingerprint must vouch for
+    c = eight_film_corpus
+    assert build(c) == 0
+    built = c.links.read_bytes()
+    swapped = built.replace(b"/M1\n", b"/M5\n")
+    c.links.write_bytes(swapped)
+    parse = knnsum_cli.load_links
+
+    def parse_then_put_back(*args, **kwargs):
+        links = parse(*args, **kwargs)
+        c.links.write_bytes(built)
+        return links
+
+    monkeypatch.setattr(knnsum_cli, "load_links", parse_then_put_back)
+    capsys.readouterr()
+    assert main([command, "--config", str(c.config), target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bundle {str(c.bundle)!r} records links.sha256 = "
+        f"{hashlib.sha256(built).hexdigest()!r}, but {str(c.links)!r} has "
+        f"sha256 = {hashlib.sha256(swapped).hexdigest()!r}; rebuild the "
+        f"bundle\n")
+
+
+@pytest.mark.parametrize("command, opened", [
+    (["build"], {"ratings": 1, "triples": 1, "links": 1}),
+    (["summarize", "m1"], {"ratings": 0, "triples": 1, "links": 1}),
+    (["neighbors", film_iri("m1")], {"ratings": 0, "triples": 0,
+                                     "links": 1})])
+def test_each_input_file_is_opened_once(eight_film_corpus, capsys,
+                                        monkeypatch, command, opened):
+    c = eight_film_corpus
+    assert build(c) == 0
+    capsys.readouterr()
+    counts = {str(getattr(c, name)): 0 for name in opened}
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) in counts:
+            counts[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([command[0], "--config", str(c.config), *command[1:]]) == 0
+    assert counts == {str(getattr(c, name)): n for name, n in opened.items()}
+
+
+def test_summarize_refuses_targets_with_all(eight_film_corpus, capsys):
+    assert build(eight_film_corpus) == 0
+    capsys.readouterr()
+    # checked before any file is read: a missing config file is not named
+    for config in (eight_film_corpus.config, eight_film_corpus.root / "no"):
+        assert main(["summarize", "--config", str(config), "--all",
+                     "no-such-item"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: pass entity ids or --all, not both\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["build"], ["summarize", "m1"], ["neighbors", film_iri("m1")]])
+@pytest.mark.parametrize("line, fault", [
+    (f"m9\t{film_iri('m9')}\tx\n", "expected item_id<TAB>iri"),
+    (f"m1\t{film_iri('m5')}\n",
+     f"item 'm1' is already linked to {film_iri('m1')!r}")])
+def test_ambiguous_link_line_is_refused(eight_film_corpus, capsys, command,
+                                        line, fault):
+    assert build(eight_film_corpus) == 0
+    with eight_film_corpus.links.open("a") as fh:
+        # line 9 repeats line 1, which leaves m1's entity as it was
+        fh.write(f"m1\t{film_iri('m1')}\n{line}")
+    capsys.readouterr()
+    assert main([command[0], "--config", str(eight_film_corpus.config),
+                 *command[1:]]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {eight_film_corpus.links}:10: {fault}\n")

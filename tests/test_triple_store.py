@@ -12,7 +12,7 @@ from knnsum.rdf import (RDF_TYPE, Feature, NTriplesError, PathFeature, Term,
                         Triple, TripleStore, _unescape, blank, iri, literal,
                         load_ntriples, term_to_ntriples, write_ntriples)
 from knnsum.similarity import NeighborList
-from knnsum.summarize import entity_universe
+from knnsum.summarize import entity_universe, feature_weights
 from oracles import (FILM, KNN, brute_one_hop, brute_two_hop, random_store,
                      random_two_hop_store, reference_load, reference_unescape)
 
@@ -330,21 +330,6 @@ def test_index_consistency_on_random_store():
     assert entity_universe(store, FILM) == typed
 
 
-def test_feature_set_excludes_given_predicates():
-    knn = iri("urn:knnsum:knn")
-    store = TripleStore([
-        Triple(A, P, B),
-        Triple(A, iri("http://x/p2"), literal("v")),
-        Triple(A, knn, iri("http://x/s")),
-    ])
-    fs = store.feature_set(A, (knn,))
-    assert fs == {Feature(P, B), Feature(iri("http://x/p2"), literal("v"))}
-
-
-def test_feature_set_of_absent_entity_is_empty():
-    assert TripleStore().feature_set(A) == set()
-
-
 def test_entities_with_feature_and_type_filter():
     film = FILM
     e1, e2, e3 = (iri(f"http://x/e{i}") for i in range(3))
@@ -502,14 +487,17 @@ def test_materialize_never_inserts_self_loops():
     assert Triple(iri(link["i0"]), KNN, iri(link["i0"])) not in store
 
 
-def test_feature_set_never_contains_knn_predicate_after_materialize():
+def test_feature_weights_never_contain_knn_predicate_after_materialize():
+    # every entity's neighbors are the three others, so any two of them
+    # share two (knn, entity) pairs, which must not become features
     store, link = make_entities(4)
-    lists = {f"i{j}": NeighborList(f"i{j}", [(f"i{(j + 1) % 4}", 0.5)])
-             for j in range(4)}
+    lists = {i: NeighborList(i, [(j, 0.5) for j in link if j != i])
+             for i in link}
     store.materialize_knn(lists, link, KNN)
+    universe = entity_universe(store, FILM)
     for v in link.values():
-        fs = store.feature_set(iri(v), (KNN,))
-        assert all(f.property != KNN for f in fs)
+        weighed = feature_weights(store, iri(v), universe, KNN)
+        assert [wf.feature for wf in weighed] == [Feature(RDF_TYPE, FILM)]
 
 
 term_names = st.text(min_size=1, max_size=6)
