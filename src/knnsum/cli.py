@@ -148,9 +148,11 @@ def parse_config_file(path: str) -> dict:
 
 def load_links(lines: Iterable[str], path: str) -> dict[str, str]:
     """Static link map: ``item_id <TAB> entity_iri`` per line of lines,
-    read from the file at path, which diagnostics name. A line with
-    another number of fields, or one that links an item already linked to
-    another IRI, is refused: either would leave an item's entity a guess."""
+    read from the file at path, which diagnostics name. Both fields are
+    stripped of whitespace, as the ratings reader strips its ids. A line
+    with another number of fields or an empty one, or one that links an
+    item already linked to another IRI, is refused: either would leave an
+    item's entity a guess."""
     links: dict[str, str] = {}
     for line_no, raw in enumerate(lines, start=1):
         if undecodable(raw):
@@ -158,7 +160,7 @@ def load_links(lines: Iterable[str], path: str) -> dict[str, str]:
         line = raw.rstrip("\r\n")
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
+        parts = [part.strip() for part in line.split("\t")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ValueError(f"{path}:{line_no}: expected item_id<TAB>iri")
         item, target = parts

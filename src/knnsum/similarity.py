@@ -99,14 +99,15 @@ def _xlx_table(n: int) -> np.ndarray:
 
 
 class _Kernel:
-    """Blocked G2 neighborhoods over the integer-coded usage matrix.
+    """G2 similarity over the integer-coded usage matrix.
 
-    For a block of center items it takes the sparse co-rater gram block
-    and scores only its nonzeros, so pairs with no common rater are never
-    scored. Each score repeats the float operations of
-    log_likelihood_ratio and similarity_score in their order, with x ln x
-    read from a table and the margin entropy of each item computed once,
-    so it equals the per-table score of the pair bit for bit.
+    It takes sparse co-rater gram products and scores only their
+    nonzeros, so pairs with no common rater are never scored. Each score
+    repeats the float operations of log_likelihood_ratio and
+    similarity_score in their order, with x ln x read from a table and
+    the margin entropy of each item computed once, so it equals the
+    per-table score of the pair bit for bit, whichever of the two items
+    is the center.
     """
 
     def __init__(self, m: UsageMatrix):
@@ -117,32 +118,23 @@ class _Kernel:
         self.entropy = ((self.xlx[self.total] - self.xlx[counts])
                         - self.xlx[self.total - counts])
 
-    def block(self, start: int, stop: int, k: int | None,
-              tau: float | None) -> list[NeighborList]:
-        """Neighbor lists of the items numbered start..stop-1.
-
-        Threshold mode (tau set) keeps every score above tau; fixed-k mode
-        keeps the k best. Lists are ordered by (-score, item id).
-        """
+    def scores(self, rows: np.ndarray, cols: np.ndarray, k11: np.ndarray
+               ) -> np.ndarray:
+        """similarity_score of each pair (rows, cols) with k11 common
+        raters, bit for bit where it is positive; at most 0 where it is
+        0."""
         import numpy as np
 
         m, xlx, total = self.m, self.xlx, self.total
-        if k is not None:  # no list holds more than every other item
-            k = min(k, len(m.items))
-        gram = m.by_item[start:stop] @ m.by_user
-        rows = np.repeat(np.arange(start, stop), np.diff(gram.indptr))
-        cols, k11 = gram.indices, gram.data
-        del gram
-        # In-place arithmetic bounds the block's temporaries; each float
-        # operation is still the one log_likelihood_ratio makes, in order.
-        na = m.counts[rows]
-        nb = m.counts[cols]
-        k22 = total - na - nb + k11
-        k12 = np.subtract(na, k11, out=na)
-        k21 = np.subtract(nb, k11, out=nb)
-        # rank-1 tables score exactly 0
-        dependent = (np.multiply(k11, k22, dtype=np.int64)
-                     != np.multiply(k12, k21, dtype=np.int64))
+        # In-place arithmetic bounds the temporaries; each float operation
+        # is still the one log_likelihood_ratio makes, in order.
+        k12 = np.subtract(m.counts[rows], k11)
+        k21 = np.subtract(m.counts[cols], k11)
+        k22 = np.subtract(total, k11)
+        k22 -= k12
+        k22 -= k21
+        rank1 = (np.multiply(k11, k22, dtype=np.int64)
+                 == np.multiply(k12, k21, dtype=np.int64))
         mat = xlx[k11]
         mat += xlx[k22]
         del k22
@@ -160,59 +152,70 @@ class _Kernel:
         score += 1.0
         np.divide(1.0, score, out=score)
         np.subtract(1.0, score, out=score)
-        floor = 0.0 if tau is None else max(tau, 0.0)
-        keep = (score > floor) & dependent & (cols != rows)
-        local, cols, score = rows[keep] - start, cols[keep], score[keep]
-        del rows, k11, dependent, keep
+        score[rank1] = 0.0  # a rank-1 table scores exactly 0
+        return score
 
-        if k is not None:
-            local, cols, score = _top_k_candidates(
-                local, cols, score, np.bincount(local, minlength=stop - start),
-                k)
-        order = np.lexsort((cols, -score, local))
-        local, cols, score = local[order], cols[order], score[order]
-        per_row = np.bincount(local, minlength=stop - start)
-        if k is not None:
-            first = np.cumsum(per_row) - per_row
-            top = np.arange(len(local)) - first[local] < k
-            cols, score = cols[top], score[top]
-            per_row = np.minimum(per_row, k)
+    def pairs(self, start: int, stop: int, floor: float, later: bool
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs (i, j) with start <= i < stop that share a rater and
+        score above floor, grouped by i, and their scores: with later set,
+        only those with j > i, else every j != i. Item numbers are int32."""
+        import numpy as np
 
-        items = m.items
-        pairs = list(zip([items[j] for j in cols.tolist()], score.tolist()))
-        bounds = np.concatenate(([0], np.cumsum(per_row))).tolist()
-        return [NeighborList(items[start + i], pairs[bounds[i]:bounds[i + 1]])
-                for i in range(stop - start)]
+        m = self.m
+        first = start if later else 0
+        # the raters of items start..stop-1 times the items from first on
+        gram = m.by_item[start:stop] @ (m.by_user[:, first:] if first
+                                        else m.by_user)
+        rows = np.repeat(np.arange(start, stop, dtype=np.int32),
+                         np.diff(gram.indptr))
+        cols = gram.indices
+        cols += np.int32(first)
+        score = self.scores(rows, cols, gram.data)
+        del gram
+        keep = score > floor
+        keep &= (cols > rows) if later else (cols != rows)
+        return rows[keep], cols[keep], score[keep]
 
     def one(self, e: str, k: int | None, tau: float | None) -> NeighborList:
+        """e's neighbor list from its full row of the gram: the k best
+        scores, or with tau set every score above tau, ordered by
+        (-score, item id)."""
+        import numpy as np
+
         try:
             i = self.m.item_index[e]
         except KeyError:
             raise UnknownItemError(f"unknown item id: {e!r}") from None
-        return self.block(i, i + 1, k, tau)[0]
+        _rows, cols, score = self.pairs(
+            i, i + 1, 0.0 if tau is None else max(tau, 0.0), later=False)
+        if k is not None and len(score) > k:  # the k best and their ties
+            keep = score >= np.partition(score, len(score) - k)[-k]
+            cols, score = cols[keep], score[keep]
+        order = np.lexsort((cols, -score))[:k]
+        items = self.m.items
+        return NeighborList(e, list(zip(
+            [items[j] for j in cols[order].tolist()], score[order].tolist())))
 
 
-def _top_k_candidates(local: np.ndarray, cols: np.ndarray, score: np.ndarray,
-                      per_row: np.ndarray, k: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drop the entries scoring below their row's k-th best score; ties
-    with it survive for the exact sort.
+def _kth_scores(local: np.ndarray, score: np.ndarray, per_row: np.ndarray,
+                k: int) -> np.ndarray:
+    """Each row's k-th best score, or 0 for a row with fewer than k
+    entries (every score is positive).
 
-    Entries arrive grouped by row. Rows are padded with zeros (every kept
-    score is positive) into one block for np.partition.
+    Entries arrive grouped by row. Rows are padded with zeros into one
+    block for np.partition.
     """
     import numpy as np
 
     width = int(per_row.max(initial=0))
-    if width <= k:
-        return local, cols, score
+    if width < k:
+        return np.zeros(len(per_row))
     first = np.cumsum(per_row) - per_row
     pad = np.zeros(len(per_row) * width)
     pad[local * width + (np.arange(len(local)) - first[local])] = score
-    kth = np.partition(pad.reshape(-1, width), width - k, axis=1)[:, width - k]
-    del pad
-    keep = score >= kth[local]
-    return local[keep], cols[keep], score[keep]
+    kth = width - k
+    return np.partition(pad.reshape(-1, width), kth, axis=1)[:, kth]
 
 
 def k_nearest_neighbors(m: UsageMatrix, e: str, k: int = DEFAULT_K) -> NeighborList:
@@ -234,15 +237,29 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
 
     Without tau, each list holds the k most similar items; with tau, every
     item whose similarity is strictly above tau, uncapped (k is then
-    unused). Items are scored against one block of block_size centers at
-    a time, only where they share a rater, and blocks run on up to
+    unused). Each pair of items that share a rater is scored once, by the
+    block of block_size centers that holds the first of the two, and the
+    score goes to both items' lists. Blocks run last to first on up to
     `workers` threads. A block's temporaries hold one entry per center
-    and co-rated item, so block_size bounds the memory each thread uses
-    at once. Each score equals similarity_score of the pair's
-    contingency table bit for bit, and the lists are the same whatever
-    the block size and worker count.
+    and later co-rated item, so block_size bounds the memory each thread
+    uses at once.
+
+    In fixed-k mode the k-th best score of a center's pairs with later
+    items is a lower bound on its final k-th score; for the last block's
+    centers, which have few later items, the bound is their final k-th
+    score, from their full rows. A block keeps the pairs that reach the
+    bound of the center, ties included, and, given to the later item,
+    those that reach its bound. So the pool of kept candidates holds,
+    per item, its k best pairs with later items, ties included, and those
+    of its pairs with earlier items that reach its bound. One exact
+    selection under (-score, item id) over that pool makes the lists.
+    Threshold mode keeps every pair above tau, for both items. Each score
+    equals similarity_score of the pair's contingency table bit for bit,
+    and the lists are the same whatever the block size and worker count.
     """
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
 
     for name, value in (("k", k), ("workers", workers),
                         ("block_size", block_size)):
@@ -251,15 +268,88 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     if not m.items:
         return {}
     kernel = _Kernel(m)
-    cap = None if tau is not None else k
     n_items = len(m.items)
+    k = min(k, n_items)  # no list holds more than every other item
+    floor = 0.0 if tau is None else max(tau, 0.0)
+    # A lower bound on each item's final k-th score: 0 until its block
+    # has run, then the k-th best of its pairs with later items. The last
+    # block's items have few later items, so theirs is their final k-th
+    # score, from their full rows.
+    bound = np.zeros(n_items)
+    if tau is None:
+        last = (n_items - 1) // block_size * block_size
+        rows, _cols, score = kernel.pairs(last, n_items, 0.0, later=False)
+        local = rows - np.int32(last)
+        bound[last:] = _kth_scores(
+            local, score, np.bincount(local, minlength=n_items - last), k)
+        del rows, _cols, score, local
 
-    def process_block(start: int) -> list[NeighborList]:
-        return kernel.block(start, min(start + block_size, n_items), cap, tau)
+    def process_block(start: int) -> tuple[np.ndarray, ...]:
+        stop = min(start + block_size, n_items)
+        rows, cols, score = kernel.pairs(start, stop, floor, later=True)
+        if tau is not None:  # every pair above tau goes to both items
+            return (np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                    np.concatenate((score, score)))
+        local = rows - np.int32(start)
+        kth = _kth_scores(local, score,
+                          np.bincount(local, minlength=stop - start), k)
+        np.maximum(bound[start:stop], kth, out=bound[start:stop])
+        # A bound read before its block ran is 0, so a block order or
+        # worker count can keep more candidates, never fewer.
+        mine = score >= bound[rows]
+        theirs = score >= bound[cols]
+        return (np.concatenate((rows[mine], cols[theirs])),
+                np.concatenate((cols[mine], rows[theirs])),
+                np.concatenate((score[mine], score[theirs])))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(process_block, range(0, n_items, block_size)))
-    return {nl.center: nl for block in blocks for nl in block}
+        parts = list(pool.map(process_block,
+                              reversed(range(0, n_items, block_size))))
+    # The pool, scores negated for the sort; each part is dropped once
+    # copied. In fixed-k mode every bound is final now, so a candidate
+    # below its item's bound goes.
+    size = sum(len(part[0]) for part in parts)
+    center = np.empty(size, dtype=np.int32)
+    other = np.empty(size, dtype=np.int32)
+    neg = np.empty(size)
+    size = 0
+    while parts:
+        c, o, s = parts.pop()
+        if tau is None:
+            keep = s >= bound[c]
+            c, o, s = c[keep], o[keep], s[keep]
+        end = size + len(c)
+        center[size:end], other[size:end] = c, o
+        np.negative(s, out=neg[size:end])
+        size = end
+    center, other, neg = center[:size], other[:size], neg[:size]
+    per_item = np.bincount(center, minlength=n_items)
+    order = np.lexsort((other, neg, center))
+    del center
+    if tau is not None:
+        kept = per_item
+    else:  # each item's first k of its run in order
+        kept = np.minimum(per_item, k)
+        firsts = np.cumsum(per_item) - per_item
+        starts = np.cumsum(kept) - kept
+        order = order[np.repeat(firsts - starts, kept)
+                      + np.arange(kept.sum())]
+    other, neg = other[order], neg[order]
+    del order
+
+    # lists are made a block of items at a time, to bound the temporaries
+    items = m.items
+    lists = {}
+    bounds = np.concatenate(([0], np.cumsum(kept))).tolist()
+    for start in range(0, n_items, block_size):
+        stop = min(start + block_size, n_items)
+        lo, hi = bounds[start], bounds[stop]
+        pairs = list(zip([items[j] for j in other[lo:hi].tolist()],
+                         np.negative(neg[lo:hi]).tolist()))
+        for i in range(start, stop):
+            lists[items[i]] = NeighborList(
+                items[i], pairs[bounds[i] - lo:bounds[i + 1] - lo])
+    return lists
 
 
 def format_neighbors_tsv(nl: NeighborList) -> str:

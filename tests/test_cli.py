@@ -479,6 +479,34 @@ def test_module_entry_point_runs_end_to_end(eight_film_corpus):
         EIGHT_FILM_OUTPUTS["bundle.json"])
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["summarize", "--out", "{out}", "m1", "m5"], 0),
+    (["neighbors", "m1"], 0),
+    (["summarize", "--k", "0", "m1"], 1),
+    (["summarize", "--out", "{out}", "m1", "nope"], 2)],
+    ids=["summarize --out", "neighbors", "input error", "resolution error"])
+def test_module_entry_point_equals_main(eight_film_corpus, capsys, argv,
+                                        code):
+    # python -m knnsum freezes what main() left alive before it exits
+    assert build(eight_film_corpus) == 0
+    capsys.readouterr()
+    runs = []
+    for side in ("main", "module"):
+        out = eight_film_corpus.root / f"{side}.txt"
+        args = [argv[0], "--config", str(eight_film_corpus.config),
+                *(a.format(out=out) for a in argv[1:])]
+        if side == "main":
+            result = (main(args), *capsys.readouterr())
+        else:
+            proc = subprocess.run([sys.executable, "-m", "knnsum", *args],
+                                  capture_output=True, text=True,
+                                  env=_child_env())
+            result = (proc.returncode, proc.stdout, proc.stderr)
+        runs.append((*result, out.read_bytes() if out.exists() else None))
+    assert runs[0][0] == code
+    assert runs[0] == runs[1]
+
+
 def pinned_bundle_text(corpus) -> str:
     """The bundle's text, its snapshot sha256 read as SNAPSHOT_SHA256 once it
     matches the snapshot: the snapshot's header names the Python version."""
@@ -583,11 +611,13 @@ def test_main_restores_the_callers_collector(eight_film_corpus, capsys,
                                              collecting, argv, code):
     assert build(eight_film_corpus) == 0
     capsys.readouterr()
+    frozen = gc.get_freeze_count()
     try:
         (gc.enable if collecting else gc.disable)()
         assert main([argv[0], "--config", str(eight_film_corpus.config),
                      *argv[1:]]) == code
         assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == frozen  # only a process entry freezes
     finally:
         gc.enable()
 
@@ -1258,6 +1288,8 @@ def test_summarize_refuses_targets_with_all(eight_film_corpus, capsys):
 @pytest.mark.parametrize("line, fault", [
     (f"m9\t{film_iri('m9')}\tx\n", "expected item_id<TAB>iri"),
     (f"m1\t{film_iri('m5')}\n",
+     f"item 'm1' is already linked to {film_iri('m1')!r}"),
+    (f"m1 \t{film_iri('m5')}\n",
      f"item 'm1' is already linked to {film_iri('m1')!r}")])
 def test_ambiguous_link_line_is_refused(eight_film_corpus, capsys, command,
                                         line, fault):
@@ -1270,3 +1302,21 @@ def test_ambiguous_link_line_is_refused(eight_film_corpus, capsys, command,
                  *command[1:]]) == 1
     assert capsys.readouterr() == (
         "", f"error: {eight_film_corpus.links}:10: {fault}\n")
+
+
+def test_link_map_fields_are_stripped_as_ratings_ids_are(eight_film_corpus,
+                                                        capsys):
+    c = eight_film_corpus
+    summarize_m1_m2 = ["summarize", "--config", str(c.config), "m1", "m2"]
+    assert build(c) == 0
+    capsys.readouterr()
+    assert main(summarize_m1_m2) == 0
+    clean = capsys.readouterr().out
+    lines = c.links.read_text().splitlines(keepends=True)
+    assert lines[:2] == [f"m1\t{film_iri('m1')}\n", f"m2\t{film_iri('m2')}\n"]
+    c.links.write_text(f"m1 \t{film_iri('m1')}\n"
+                       f"m2\t {film_iri('m2')} \n" + "".join(lines[2:]))
+    assert build(c) == 0
+    assert "linked items: 8/8\n" in capsys.readouterr().out
+    assert main(summarize_m1_m2) == 0
+    assert capsys.readouterr().out == clean

@@ -282,6 +282,55 @@ def test_kernel_equals_oracle_bit_for_bit(pairs, k, tau):
         assert neighbors_above_threshold(m, e, tau).neighbors == want_tau[e]
 
 
+def bound_filter_log():
+    """400 items, 60 users: the first 300 items are rated by about half of
+    the users each, so nearly every pair among them is co-rated; eight
+    twins spread over the ids share one rater set, so each twin's k = 5
+    best include a tie at the fifth place; the last 100 items have 1 to 3
+    raters each."""
+    rng = random.Random(31)
+    twins = range(7, 400, 50)
+    twin_raters = rng.sample(range(60), 30)
+    pairs = []
+    for i in range(400):
+        if i in twins:
+            raters = twin_raters
+        elif i < 300:
+            raters = [u for u in range(60) if rng.random() < 0.5]
+        else:
+            raters = rng.sample(range(60), rng.randint(1, 3))
+        pairs += [(f"u{u:02d}", f"i{i:03d}") for u in raters]
+    return pairs
+
+
+def test_lower_bound_filter_keeps_every_list_exact():
+    m = UsageMatrix(bound_filter_log())
+    k, tau = 5, 0.5
+    want_knn = {e: k_nearest_neighbors(m, e, k).neighbors for e in m.items}
+    want_tau = {e: neighbors_above_threshold(m, e, tau).neighbors
+                for e in m.items}
+    # The data exercise the filter: many a pair (i, j), i < j, scores
+    # below j's k-th best score with the items after j, which bounds j's
+    # final k-th score from below; and every twin's k-th place is a tie.
+    index = m.item_index
+    dropped = tied = 0
+    for e in m.items:
+        row = k_nearest_neighbors(m, e, len(m.items)).neighbors
+        tied += len(row) > k and row[k - 1][1] == row[k][1]
+        later = [s for item, s in row if index[item] > index[e]]
+        if len(later) >= k:
+            dropped += sum(1 for item, s in row
+                           if index[item] < index[e] and s < later[k - 1])
+    assert dropped > 10_000
+    assert tied >= 8
+    for block_size, workers in product((1, 7, 64), (1, 2)):
+        knn = all_pairs_knn(m, k, workers=workers, block_size=block_size)
+        above = all_pairs_knn(m, k, workers=workers, block_size=block_size,
+                              tau=tau)
+        assert {e: nl.neighbors for e, nl in knn.items()} == want_knn
+        assert {e: nl.neighbors for e, nl in above.items()} == want_tau
+
+
 def test_kernel_memory_is_bounded_by_the_default_block():
     # each block's temporaries hold one entry per center and co-rated item,
     # so the default block size bounds them: 200 users x 1,200 items at
