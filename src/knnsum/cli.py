@@ -438,6 +438,12 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     inputs["ratings"], ingest = _parse_input(
         "ratings file", cfg.ratings,
         lambda fh: ingest_ratings(fh, cfg.ratings_format()))
+    if not ingest.matrix.items:  # not a linking fault: name the lines
+        rejected = ingest.rejected
+        first = (f"; first: line {rejected[0].line_no}: {rejected[0].reason}"
+                 if rejected else "")
+        raise _CommandError(f"no ratings line of {cfg.ratings!r} was "
+                            f"accepted ({len(rejected)} rejected{first})")
     inputs["graph"], (store, triple_diags) = _parse_input(
         "triples file", cfg.triples, load_ntriples)
     inputs["links"], links = _read_links(cfg)
@@ -542,8 +548,15 @@ def _common_flags() -> argparse.ArgumentParser:
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     values = parse_config_file(args.config) if args.config else {}
     for f in fields(PipelineConfig):
-        if getattr(args, f.name) is not None:
-            values[f.name] = getattr(args, f.name)
+        value = getattr(args, f.name)
+        if isinstance(value, str):  # read by the config file's rule
+            try:
+                value = _config_value(f.name, value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"--{f.name.replace('_', '-')}: {exc}") from None
+        if value is not None:
+            values[f.name] = value
     cfg = PipelineConfig(**values)
     cfg.validate()
     return cfg

@@ -198,21 +198,24 @@ class _Kernel:
             [items[j] for j in cols[order].tolist()], score[order].tolist())))
 
 
-def _kth_scores(local: np.ndarray, score: np.ndarray, per_row: np.ndarray,
+def _kth_scores(rows: np.ndarray, score: np.ndarray, start: int, stop: int,
                 k: int) -> np.ndarray:
-    """Each row's k-th best score, or 0 for a row with fewer than k
-    entries (every score is positive).
+    """The k-th best score of each item start..stop-1 among its entries
+    (rows, score), or 0 for an item with fewer than k entries (every score
+    is positive).
 
     Entries arrive grouped by row. Rows are padded with zeros into one
     block for np.partition.
     """
     import numpy as np
 
+    local = rows - np.int32(start)
+    per_row = np.bincount(local, minlength=stop - start)
     width = int(per_row.max(initial=0))
     if width < k:
-        return np.zeros(len(per_row))
+        return np.zeros(stop - start)
     first = np.cumsum(per_row) - per_row
-    pad = np.zeros(len(per_row) * width)
+    pad = np.zeros((stop - start) * width)
     pad[local * width + (np.arange(len(local)) - first[local])] = score
     kth = width - k
     return np.partition(pad.reshape(-1, width), kth, axis=1)[:, kth]
@@ -253,9 +256,11 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     per item, its k best pairs with later items, ties included, and those
     of its pairs with earlier items that reach its bound. One exact
     selection under (-score, item id) over that pool makes the lists.
-    Threshold mode keeps every pair above tau, for both items. Each score
-    equals similarity_score of the pair's contingency table bit for bit,
-    and the lists are the same whatever the block size and worker count.
+    Threshold mode runs the same blocks and selection with every bound at
+    0 and no list cut, so it keeps every pair above tau, for both items.
+    Each score equals similarity_score of the pair's contingency table bit
+    for bit, and the lists are the same whatever the block size and worker
+    count.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -274,26 +279,20 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     # A lower bound on each item's final k-th score: 0 until its block
     # has run, then the k-th best of its pairs with later items. The last
     # block's items have few later items, so theirs is their final k-th
-    # score, from their full rows.
+    # score, from their full rows. In threshold mode every bound stays 0.
     bound = np.zeros(n_items)
     if tau is None:
         last = (n_items - 1) // block_size * block_size
         rows, _cols, score = kernel.pairs(last, n_items, 0.0, later=False)
-        local = rows - np.int32(last)
-        bound[last:] = _kth_scores(
-            local, score, np.bincount(local, minlength=n_items - last), k)
-        del rows, _cols, score, local
+        bound[last:] = _kth_scores(rows, score, last, n_items, k)
+        del rows, _cols, score
 
     def process_block(start: int) -> tuple[np.ndarray, ...]:
         stop = min(start + block_size, n_items)
         rows, cols, score = kernel.pairs(start, stop, floor, later=True)
-        if tau is not None:  # every pair above tau goes to both items
-            return (np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-                    np.concatenate((score, score)))
-        local = rows - np.int32(start)
-        kth = _kth_scores(local, score,
-                          np.bincount(local, minlength=stop - start), k)
-        np.maximum(bound[start:stop], kth, out=bound[start:stop])
+        if tau is None:
+            kth = _kth_scores(rows, score, start, stop, k)
+            np.maximum(bound[start:stop], kth, out=bound[start:stop])
         # A bound read before its block ran is 0, so a block order or
         # worker count can keep more candidates, never fewer.
         mine = score >= bound[rows]
@@ -305,35 +304,22 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(process_block,
                               reversed(range(0, n_items, block_size))))
-    # The pool, scores negated for the sort; each part is dropped once
-    # copied. In fixed-k mode every bound is final now, so a candidate
-    # below its item's bound goes.
-    size = sum(len(part[0]) for part in parts)
-    center = np.empty(size, dtype=np.int32)
-    other = np.empty(size, dtype=np.int32)
-    neg = np.empty(size)
-    size = 0
-    while parts:
-        c, o, s = parts.pop()
-        if tau is None:
-            keep = s >= bound[c]
-            c, o, s = c[keep], o[keep], s[keep]
-        end = size + len(c)
-        center[size:end], other[size:end] = c, o
-        np.negative(s, out=neg[size:end])
-        size = end
-    center, other, neg = center[:size], other[:size], neg[:size]
+    if tau is None:  # every bound is final now: a candidate below it goes
+        parts = [(c[keep], o[keep], s[keep]) for c, o, s in parts
+                 for keep in (s >= bound[c],)]
+    center = np.concatenate([c for c, _o, _s in parts])
+    other = np.concatenate([o for _c, o, _s in parts])
+    neg = np.concatenate([s for _c, _o, s in parts])
+    del parts
+    np.negative(neg, out=neg)  # scores negated for the sort
     per_item = np.bincount(center, minlength=n_items)
     order = np.lexsort((other, neg, center))
     del center
-    if tau is not None:
-        kept = per_item
-    else:  # each item's first k of its run in order
-        kept = np.minimum(per_item, k)
-        firsts = np.cumsum(per_item) - per_item
-        starts = np.cumsum(kept) - kept
-        order = order[np.repeat(firsts - starts, kept)
-                      + np.arange(kept.sum())]
+    # each item's first k of its run in order; with tau, the whole run
+    kept = np.minimum(per_item, k if tau is None else n_items)
+    firsts = np.cumsum(per_item) - per_item
+    starts = np.cumsum(kept) - kept
+    order = order[np.repeat(firsts - starts, kept) + np.arange(kept.sum())]
     other, neg = other[order], neg[order]
     del order
 

@@ -119,6 +119,24 @@ def test_build_zero_matched_links_fails(eight_film_corpus, capsys):
     assert "link" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratings, rejected", [
+    ("userID\tmovieID\trating\n", "0 rejected"),
+    ("userID;movieID;rating\nu1;m1;4.0\nu2;m2;4.0\n",
+     "2 rejected; first: line 2: expected at least 3 columns, got 1"),
+], ids=["header only", "wrong delimiter"])
+def test_build_without_accepted_ratings_names_the_ratings_file(
+        eight_film_corpus, capsys, ratings, rejected):
+    # no accepted line is a ratings fault, not a linking one
+    eight_film_corpus.ratings.write_text(ratings, encoding="utf-8")
+    assert build(eight_film_corpus) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: no ratings line of "
+                            f"{str(eight_film_corpus.ratings)!r} was "
+                            f"accepted ({rejected})\n")
+    assert not eight_film_corpus.bundle.exists()
+
+
 def test_neighbors_output(eight_film_corpus, capsys):
     build(eight_film_corpus)
     capsys.readouterr()
@@ -268,6 +286,7 @@ def test_invalid_threshold_rejected(eight_film_corpus, capsys):
 
 @pytest.mark.parametrize("command, key, value", [
     ("build", "delimiter", ""),
+    ("build", "delimiter", "\\x"),  # a malformed escape
     ("build", "user_col", "-1"),
     ("build", "item_col", "-1"),
     ("build", "item_col", "0"),  # the user column
@@ -878,17 +897,22 @@ def test_help_outputs_are_pinned(monkeypatch, capsys):
 
 @pytest.mark.parametrize("spelled, delimiter", [
     ("\\t", "\t"), ("\u00a6", "\u00a6"), ("\u2192", "\u2192")])
+@pytest.mark.parametrize("via", ["flag", "config file"])
 def test_config_delimiter_is_read_as_written(eight_film_corpus, capsys,
-                                             spelled, delimiter):
-    # a backslash escape is decoded; any other character is taken as is
+                                             spelled, delimiter, via):
+    # a backslash escape is decoded; any other character is taken as is,
+    # by the flag as by the config file
     assert build(eight_film_corpus) == 0
     tab_separated = json.loads(eight_film_corpus.bundle.read_text())
     ratings = eight_film_corpus.ratings
     ratings.write_text(ratings.read_text(encoding="utf-8").replace(
         "\t", delimiter), encoding="utf-8")
-    with eight_film_corpus.config.open("a", encoding="utf-8") as fh:
-        fh.write(f"delimiter = {spelled}\n")
-    assert build(eight_film_corpus) == 0
+    if via == "flag":
+        assert build(eight_film_corpus, "--delimiter", spelled) == 0
+    else:
+        with eight_film_corpus.config.open("a", encoding="utf-8") as fh:
+            fh.write(f"delimiter = {spelled}\n")
+        assert build(eight_film_corpus) == 0
     assert "rejected ratings lines: 0\n" in capsys.readouterr().out
     bundle = json.loads(eight_film_corpus.bundle.read_text())
     for field in ("users", "items", "neighbors"):  # the same usage matrix

@@ -331,17 +331,18 @@ def test_lower_bound_filter_keeps_every_list_exact():
         assert {e: nl.neighbors for e, nl in above.items()} == want_tau
 
 
-def test_kernel_memory_is_bounded_by_the_default_block():
+@pytest.mark.parametrize("tau", [None, 0.9])
+def test_kernel_memory_is_bounded_by_the_default_block(tau):
     # each block's temporaries hold one entry per center and co-rated item,
     # so the default block size bounds them: 200 users x 1,200 items at
     # ~30% density co-rate almost every pair, and 256-row blocks peak at
-    # about 19 MB here
+    # about 19 MB here; threshold mode runs the same blocks
     rng = random.Random(23)
     m = UsageMatrix([(f"u{u:03d}", f"i{i:04d}") for u in range(200)
                      for i in range(1_200) if rng.random() < 0.3])
     tracemalloc.start()
     try:
-        all_pairs_knn(m, 20, workers=1)
+        all_pairs_knn(m, 20, workers=1, tau=tau)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
