@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -36,7 +37,8 @@ FORMATS = ("tsv", "structured")
 
 
 def _setting(default, help: str, **flag):
-    """A PipelineConfig field with its flag's help text and argparse extras."""
+    """A PipelineConfig field with its flag's help text and argparse extras
+    (no type: _config_value converts the flag's text)."""
     return field(default=default, metadata={"help": help, **flag})
 
 
@@ -66,7 +68,8 @@ class PipelineConfig:
                                 "rdf:type IRI restricting the entity universe")
     knn_predicate: str = _setting(
         DEFAULT_KNN_PREDICATE, "predicate IRI for materialized knn edges")
-    format: str = _setting("tsv", "summary output format", choices=FORMATS)
+    format: str = _setting("tsv", "summary output format",
+                           metavar="{" + ",".join(FORMATS) + "}")
     two_hop: bool = _setting(False, "rank two-hop composite features",
                              action="store_true")
     workers: int = _setting(1, "threads for the build's neighborhood "
@@ -108,7 +111,7 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _config_value(key: str, value: str):
-    """A config-file value converted to its setting's type."""
+    """A config-file or flag value converted to its setting's type."""
     kind = _SETTING_TYPES[key]
     if kind is bool:
         if value.lower() not in _BOOLS:
@@ -212,6 +215,14 @@ def write_bundle(path: str, matrix: UsageMatrix,
     # snapshot first, so a failed write leaves the previous pair as it was,
     # and a crash between the two renames leaves a bundle whose snapshot
     # fingerprint does not match, which the lookups refuse.
+    # A directory in either place is refused first: as the bundle, its
+    # rename would fail only once the snapshot had replaced the old one.
+    for what, target in (("graph snapshot", _snapshot_path(path)),
+                         ("bundle", path)):
+        if os.path.isdir(target):
+            with _writing(what, target):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR))
     staged: list[tuple[str, str, str]] = []  # what, path, temporary file
 
     def stage(what: str, target: str, mode: str, write) -> None:
@@ -266,20 +277,21 @@ def read_bundle(path: str) -> dict:
 
 
 def _neighbor_list(center: str, pairs: object) -> NeighborList | None:
-    """center's NeighborList if pairs are [item, score] pairs as write_bundle
-    writes them, item ids with similarities in [0, 1]; else None."""
-    if type(pairs) is not list or undecodable(center):
+    """center's NeighborList over pairs as loaded, if they are [item, score]
+    pairs, item ids with similarities in [0, 1]; else None."""
+    if type(pairs) is not list:
         return None
-    neighbors = []
     for pair in pairs:
         if type(pair) is not list or len(pair) != 2:
             return None
         item, score = pair
-        if not (type(item) is str and not undecodable(item)
-                and type(score) in (float, int) and 0 <= score <= 1):
+        if not (type(item) is str and type(score) in (float, int)
+                and 0 <= score <= 1):
             return None
-        neighbors.append((item, score))
-    return NeighborList(center, neighbors)
+    # one check for the lot: joining never pairs up two lone surrogates
+    if undecodable(center + "".join([pair[0] for pair in pairs])):
+        return None
+    return NeighborList(center, pairs)
 
 
 def _load_bundle(cfg: PipelineConfig, settings: Sequence[str] = ()
@@ -537,11 +549,8 @@ def _common_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="flat key = value config file")
     for f in fields(PipelineConfig):
-        extras = dict(f.metadata)
-        if "action" not in extras:
-            extras["type"] = _SETTING_TYPES[f.name]
         p.add_argument(f"--{f.name.replace('_', '-')}", default=None,
-                       **extras)
+                       **f.metadata)
     return p
 
 
@@ -549,7 +558,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     values = parse_config_file(args.config) if args.config else {}
     for f in fields(PipelineConfig):
         value = getattr(args, f.name)
-        if isinstance(value, str):  # read by the config file's rule
+        if isinstance(value, str):  # a switch's value is already a bool
             try:
                 value = _config_value(f.name, value)
             except ValueError as exc:

@@ -14,7 +14,7 @@ from collections import Counter
 from knnsum.rdf import (_LINE_RE, RDF_TYPE, Diagnostic, Feature,
                         NTriplesError, PathFeature, Term, Triple, TripleStore,
                         _parse_term, iri, literal)
-from knnsum.similarity import similarity_score
+from knnsum.similarity import NeighborList, similarity_score
 from knnsum.textio import NOT_UTF8, undecodable
 from knnsum.usage import ContingencyTable, UsageMatrix
 
@@ -103,6 +103,27 @@ def threshold_oracle(m: UsageMatrix, e: str, tau: float,
                      sets: dict[str, set[str]] | None = None
                      ) -> list[tuple[str, float]]:
     return [(b, s) for b, s in scored_candidates(m, e, sets) if s > tau]
+
+
+# -- bundle neighbor lists ---------------------------------------------------------
+
+def reference_neighbor_list(center: str, pairs: object
+                            ) -> NeighborList | None:
+    """center's NeighborList of (item, score) tuples copied out of pairs, if
+    pairs are [item, score] pairs, item ids that are valid UTF-8 with
+    similarities in [0, 1]; else None. Each string is checked on its own."""
+    if type(pairs) is not list or undecodable(center):
+        return None
+    neighbors = []
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            return None
+        item, score = pair
+        if not (type(item) is str and not undecodable(item)
+                and type(score) in (float, int) and 0 <= score <= 1):
+            return None
+        neighbors.append((item, score))
+    return NeighborList(center, neighbors)
 
 
 # -- N-Triples loading ----------------------------------------------------------

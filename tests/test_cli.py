@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knnsum
 
@@ -31,6 +33,7 @@ from knnsum.summarize import summarize
 from knnsum.usage import RatingsFormat, UsageMatrix, ingest_ratings
 from knnsum.rdf import load_ntriples
 from knnsum.cli import load_links
+from oracles import reference_neighbor_list
 
 IN_CLUSTER_SCORE = 1 - 1 / (1 + 16 * math.log(2))
 EXTRA_TRIPLE = f"<{film_iri('m1')}> <{EX}p/award> <{EX}v/a1> .\n"
@@ -295,6 +298,12 @@ def test_invalid_threshold_rejected(eight_film_corpus, capsys):
     ("build", "knn_predicate", ""),
     ("summarize", "knn_predicate", ""),
     ("summarize", "type_filter", ""),
+    # typed settings: a flag's text is converted as a config file's is
+    ("neighbors", "k", "abc"),
+    ("build", "threshold", "x"),
+    ("build", "workers", "2.5"),
+    ("summarize", "format", "xml"),
+    ("summarize", "n", "ten"),
 ])
 @pytest.mark.parametrize("via", ["flag", "config file"])
 def test_invalid_config_value_rejected(eight_film_corpus, capsys, command,
@@ -307,7 +316,7 @@ def test_invalid_config_value_rejected(eight_film_corpus, capsys, command,
     else:
         with eight_film_corpus.config.open("a") as fh:
             fh.write(f"{key} = {value}\n")
-    if command == "summarize":
+    if command != "build":
         args.append("m1")
     capsys.readouterr()
     assert main(args) == 1
@@ -957,6 +966,55 @@ def test_malformed_neighbor_entry_is_refused(eight_film_corpus, capsys,
         "'m1'")
 
 
+@pytest.mark.parametrize("command", ["neighbors", "summarize"])
+@pytest.mark.parametrize("entry", [[["m2", -0.5]], [["\ud800", 0.5]], 5])
+def test_malformed_list_of_another_item_is_refused(eight_film_corpus, capsys,
+                                                   command, entry):
+    # every list of the bundle is checked, not only the target's
+    assert build(eight_film_corpus) == 0
+    bundle = eight_film_corpus.bundle
+    payload = json.loads(bundle.read_text())
+    payload["neighbors"]["m3"] = entry
+    bundle.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, "--config", str(eight_film_corpus.config),
+                 "m1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: bundle {str(bundle)!r} has a malformed neighbor list for "
+        "'m3'")
+
+
+# strings with lone surrogates, which a bundle's JSON escapes can hold
+_bundle_texts = st.lists(st.one_of(
+    st.characters(), st.sampled_from(["\ud800", "\ud83d", "\ude00",
+                                      "\udfff"])), max_size=3).map("".join)
+_scores = st.one_of(st.floats(), st.floats(0, 1), st.integers(-1, 2),
+                    st.booleans())
+_json_values = st.recursive(
+    st.none() | _scores | _bundle_texts,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_bundle_texts, inner, max_size=2), max_leaves=6)
+# [item, score] pairs, so that many lists fail one check or none
+_pairs = st.tuples(_bundle_texts, _scores).map(list)
+_lists = st.one_of(st.lists(_pairs, max_size=4),
+                   st.lists(_pairs | _json_values, max_size=4), _json_values)
+
+
+@given(_bundle_texts, _lists)
+@settings(max_examples=300)
+def test_neighbor_list_check_refuses_what_the_copying_check_did(center,
+                                                                pairs):
+    got = knnsum_cli._neighbor_list(center, pairs)
+    want = reference_neighbor_list(center, pairs)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.neighbors is pairs  # checked in place, not copied
+        assert got.center == want.center
+        assert [tuple(pair) for pair in got.neighbors] == want.neighbors
+
+
 def test_non_utf8_ratings_and_graph_lines_are_diagnostics(
         eight_film_corpus, capsys):
     ratings_line = len(eight_film_corpus.ratings.read_bytes().splitlines()) + 1
@@ -1049,6 +1107,30 @@ def test_failed_bundle_write_keeps_previous_bundle(eight_film_corpus, capsys,
     monkeypatch.setattr(os, "fsync", fail_second)
     _failed_write_keeps_previous_pair(eight_film_corpus, capsys, "bundle",
                                       eight_film_corpus.bundle)
+
+
+@pytest.mark.parametrize("directory, previous", [
+    ("bundle", None), ("bundle", b"previous snapshot"), ("snapshot", None)])
+def test_bundle_or_snapshot_path_that_is_a_directory_is_refused(
+        eight_film_corpus, capsys, directory, previous):
+    outdir = eight_film_corpus.root / "outdir"
+    snapshot = eight_film_corpus.root / "outdir.graph"
+    (outdir if directory == "bundle" else snapshot).mkdir()
+    if previous is not None:
+        snapshot.write_bytes(previous)
+    files = sorted(os.listdir(eight_film_corpus.root))
+    capsys.readouterr()
+    assert build(eight_film_corpus, "--bundle", str(outdir)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    what, target = (("bundle", outdir) if directory == "bundle"
+                    else ("graph snapshot", snapshot))
+    assert captured.err == (f"error: cannot write {what} {str(target)!r}: "
+                            f"[Errno {errno.EISDIR}] Is a directory\n")
+    # nothing written: no snapshot or bundle, no temporary file
+    assert sorted(os.listdir(eight_film_corpus.root)) == files
+    if previous is not None:
+        assert snapshot.read_bytes() == previous
 
 
 def test_bundle_bytes_equal_the_streamed_json_encoding(tmp_path):
