@@ -2,7 +2,7 @@
 
 Configuration comes from a flat ``key = value`` file; every key can be
 overridden by a CLI flag, and flags win. Exit codes: 0 success, 1 input
-error, 2 resolution error.
+error (a usage error too), 2 resolution error.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import (IO, Callable, Iterable, Mapping, Sequence, TypeVar,
-                    get_args, get_type_hints)
+from typing import (IO, Callable, Iterable, Mapping, NoReturn, Sequence,
+                    TypeVar, get_args, get_type_hints)
 
 from .rdf import (DEFAULT_KNN_PREDICATE, IRI, TripleStore,
                   _no_cycle_collection, iri, load_ntriples, term_to_ntriples)
@@ -580,8 +580,16 @@ def _open_out(cfg: PipelineConfig) -> contextlib.AbstractContextManager:
     return open(cfg.out, "w", encoding="utf-8")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors (an unknown flag or command, a
+    missing argument) are input errors, exit 1, not its own exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _CommandError(message)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="knnsum",
         description="Usage-data-driven entity summarization pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -596,8 +604,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sum.add_argument("targets", nargs="*", help="item ids or entity iris")
     p_sum.add_argument("--all", action="store_true",
                        help="summarize every entity in the universe")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         # The command's data (usage matrix, neighbor lists, store indexes,
         # weighed features) forms no reference cycles, so the cycle
         # collector would only rescan it: it is off while the command runs.

@@ -2,7 +2,9 @@
 
 Identity is lexical: no IRI normalization, case-sensitive throughout.
 The store interns its terms: each distinct Term gets an int id, and two
-indexes of ids, subject and predicate-object, back every query; the
+indexes of ids, subject and predicate-object, back every query. Each
+index is a few sorted arrays of ids with offsets, not dicts and sets, so
+a store is compact and its snapshot is mostly the arrays' raw bytes. The
 entities of a type are read from the predicate-object index under
 rdf:type. Every method takes and returns Terms.
 """
@@ -11,11 +13,18 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import marshal
 import re
 import sys
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from functools import cache, partial
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, floordiv, mod, mul, ne, sub
+from typing import (IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    NamedTuple, Sequence)
 
 from .textio import NOT_UTF8, Diagnostic, undecodable
 
@@ -114,10 +123,22 @@ def term_key(t: Term) -> tuple[str, str, str, str]:
 
 
 # What a snapshot records of the process that wrote it, as (field, value)
-# pairs: the marshal module's format and the Python version. A snapshot
-# from another of either is refused, not read.
+# pairs: the marshal module's format, the Python version, and how the
+# index arrays lay out their ids. A snapshot from another of any is
+# refused, not read.
 SNAPSHOT_HEADER = (("marshal_version", marshal.version),
-                   ("python_version", "%d.%d" % sys.version_info[:2]))
+                   ("python_version", "%d.%d" % sys.version_info[:2]),
+                   ("index_layout", "sorted int%d %s-endian"
+                    % (8 * array("i").itemsize, sys.byteorder)))
+
+# marshal's framing of a tuple, a list and a bytes object: a type code,
+# then the item or byte count as 4 bytes, little-endian
+_TUPLE, _LIST, _BYTES = b"(", b"[", b"s"
+_TERM_CHUNK = 1024  # terms marshalled at a time by snapshot()
+
+
+def _framing(code: bytes, n: int) -> bytes:
+    return code + n.to_bytes(4, "little")
 
 
 @contextlib.contextmanager
@@ -125,7 +146,7 @@ def _no_cycle_collection():
     """Cycle collection off for the block, and the caller's collector
     state back on every exit. Loading or snapshotting a store makes no
     reference cycles, so collecting during it would only rescan the
-    store's indexes (a quarter of a large N-Triples load); nor do the
+    store's terms (a quarter of a large N-Triples load); nor do the
     usage data, neighbor lists and weighed features of a command, which
     the CLI runs in this block too."""
     collecting = gc.isenabled()
@@ -137,22 +158,178 @@ def _no_cycle_collection():
             gc.enable()
 
 
+def _pack(high: Iterable[int], low: Iterable[int], base: int
+          ) -> Iterator[int]:
+    """high * base + low, item by item."""
+    return map(add, map(mul, high, repeat(base)), low)
+
+
+def _starts(ids: Iterable[int], count: int) -> array:
+    """The count + 1 offsets of the rows of each id below count, for rows
+    sorted by id: id i's rows are offsets[i] to offsets[i + 1]."""
+    rows = Counter(ids)
+    return array("i", accumulate(map(rows.get, range(count), repeat(0)),
+                                 initial=0))
+
+
+class _SubjectIndex(NamedTuple):
+    """The triples sorted by (s, p, o): subject s's rows are start[s] to
+    start[s + 1], and each row holds the id of its (p, o) pair in
+    _PairIndex, so ascending pair ids are ascending (p, o)."""
+
+    start: Sequence[int]
+    pair: Sequence[int]
+
+    def pairs(self, s: int) -> Sequence[int]:
+        return self.pair[self.start[s]:self.start[s + 1]]
+
+
+class _PairIndex(NamedTuple):
+    """The triples sorted by (p, o, s): predicate p's (p, o) pairs are
+    start[p] to start[p + 1]; pair j is (p[j], o[j]), and its subjects are
+    s[rows[j]] to s[rows[j + 1] - 1], ascending."""
+
+    start: Sequence[int]
+    p: Sequence[int]
+    o: Sequence[int]
+    rows: Sequence[int]
+    s: Sequence[int]
+
+    def find(self, p: int, o: int) -> int:
+        """The id of the pair (p, o), or -1 if no triple has it."""
+        lo, hi = self.start[p], self.start[p + 1]
+        j = bisect_left(self.o, o, lo, hi)
+        return j if j < hi and self.o[j] == o else -1
+
+    def subjects(self, j: int) -> Sequence[int]:
+        return self.s[self.rows[j]:self.rows[j + 1]]
+
+
+# An id of -1, which no term has, reads as an empty span in every offset
+# table above: its start[-1] is the last offset and start[0] the first.
+
+
+def _objects(spo: _SubjectIndex, pos: _PairIndex, s: int, p: int
+             ) -> list[int]:
+    """The objects of the triples (s, p, _), ascending."""
+    a, b = spo.start[s], spo.start[s + 1]
+    lo = bisect_left(spo.pair, pos.start[p], a, b)
+    hi = bisect_left(spo.pair, pos.start[p + 1], lo, b)
+    return [pos.o[j] for j in spo.pair[lo:hi]]
+
+
+class _OnFirstUse(dict):
+    """A mapping that makes each value with make(key) on its first use."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class MaterializeResult(NamedTuple):
     added: int
     skipped: list[str]
 
 
 class TripleStore:
-    """Set of triples with subject and predicate-object indexes."""
+    """Set of triples with subject and predicate-object indexes. A triple
+    added after the indexes were built is indexed with them on the next
+    query."""
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._ids: dict[Term, int] = {}
         self._terms: list[Term] = []  # by id
-        self._spo: dict[int, dict[int, set[int]]] = {}
-        self._pos: dict[tuple[int, int], set[int]] = {}
-        self._size = 0
+        # triples added since the indexes were built, as id triples
+        self._added: set[tuple[int, int, int]] = set()
+        self._index((), (), ())
         for t in triples:
             self.add(t)
+
+    def _index(self, subjects: Iterable[int], predicates: Iterable[int],
+               objects: Iterable[int]) -> None:
+        """Build both indexes over the distinct id triples given as three
+        columns, in any order. Each triple is packed into one int and the
+        ints are sorted: that peaks lower than sorting tuples or building
+        dicts of sets."""
+        n = len(self._terms)
+        keys = sorted(_pack(_pack(predicates, objects, n), subjects, n))
+        # each triple once: a key equal to the next one is dropped
+        keys = list(compress(keys, chain(map(ne, keys, islice(keys, 1, None)),
+                                         [True])))
+        subjects = array("i", map(mod, keys, repeat(n)))
+        pair_keys = array("q", map(floordiv, keys, repeat(n)))  # p * n + o
+        del keys
+        # a new pair starts at row 0 and wherever the pair key changes
+        changes = list(map(ne, pair_keys[1:], pair_keys[:-1]))
+        rows = array("i", [0] if pair_keys else [])
+        rows.extend(compress(count(1), changes))
+        rows.append(len(pair_keys))
+        first_keys = [pair_keys[i] for i in rows[:-1]]
+        del pair_keys
+        predicates = array("i", map(floordiv, first_keys, repeat(n)))
+        pos = _PairIndex(_starts(predicates, n), predicates,
+                         array("i", map(mod, first_keys, repeat(n))), rows,
+                         subjects)
+        # the rows by subject: a counting sort, which keeps each subject's
+        # pair ids ascending, as they are in pos
+        start = _starts(subjects, n)
+        pairs = array("i", [0]) * len(subjects)
+        free = list(start)
+        for s, j in zip(subjects, accumulate(chain([0], changes))):
+            pairs[free[s]] = j
+            free[s] += 1
+        self._use(_SubjectIndex(start, pairs), pos)
+
+    def _use(self, spo: _SubjectIndex, pos: _PairIndex) -> None:
+        """Query spo and pos from now on, and make from them, on first
+        use, the sets that queries intersect, since a feature is often
+        shared by many summarized entities and a subject is the neighbor
+        of many: pair j's subjects (_holders[j]); the ids of the (q, t)
+        pairs of s's p-objects, one two-hop path (p, q, t) of s each
+        (_ends[s, p]); and the id of each pair (p, o) by o, which the
+        two-hop supports look up once per intermediate node
+        (_object_pairs[p])."""
+        self._indexes = spo, pos
+        self._holders = _OnFirstUse(lambda j: frozenset(pos.subjects(j)))
+        start, pair = spo
+        self._ends = _OnFirstUse(lambda sp: frozenset(chain.from_iterable(
+            pair[start[mid]:start[mid + 1]]
+            for mid in _objects(spo, pos, *sp))))
+        self._object_pairs = _OnFirstUse(lambda p: dict(zip(
+            pos.o[pos.start[p]:pos.start[p + 1]],
+            range(pos.start[p], pos.start[p + 1]))))
+
+    def _current(self) -> tuple[_SubjectIndex, _PairIndex]:
+        """Both indexes, with the triples added since they were built."""
+        if self._added:
+            added = zip(*self._added)
+            self._added = set()
+            self._index(*map(chain, self._columns(*self._indexes), added))
+        return self._indexes
+
+    # each index, as tests compare them
+    @property
+    def _spo(self) -> _SubjectIndex:
+        return self._current()[0]
+
+    @property
+    def _pos(self) -> _PairIndex:
+        return self._current()[1]
+
+    @staticmethod
+    def _columns(spo: _SubjectIndex, pos: _PairIndex
+                 ) -> tuple[Iterator[int], Iterator[int], Iterator[int]]:
+        """The subject, predicate and object ids of the indexed triples,
+        in (s, p, o) order."""
+        spans = map(sub, spo.start[1:], spo.start[:-1])
+        subjects = chain.from_iterable(
+            map(repeat, range(len(spo.start) - 1), spans))
+        return (subjects, map(pos.p.__getitem__, spo.pair),
+                map(pos.o.__getitem__, spo.pair))
 
     def _intern(self, term: Term) -> int:
         if term not in self._ids:
@@ -165,19 +342,13 @@ class TripleStore:
         return self._ids.get(term, -1)
 
     def _id_set(self, terms: Iterable[Term]) -> set[int]:
-        return {self._id(t) for t in terms} - {-1}
+        # map, not a comprehension calling _id: one call fewer per term
+        ids = set(map(self._ids.get, terms, repeat(-1)))
+        ids.discard(-1)
+        return ids
 
     def _term_set(self, ids: Iterable[int]) -> set[Term]:
         return {self._terms[i] for i in ids}
-
-    def _add(self, s: int, p: int, o: int) -> bool:
-        objects = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
-            return False
-        objects.add(o)
-        self._size += 1
-        self._pos.setdefault((p, o), set()).add(s)
-        return True
 
     def add(self, t: Triple) -> bool:
         """Insert a triple; returns False if it was already present."""
@@ -185,36 +356,55 @@ class TripleStore:
             raise ValueError(f"predicate must be an IRI: {t.predicate}")
         if t.subject.kind == LITERAL:
             raise ValueError("literal subjects are not allowed")
-        return self._add(*map(self._intern, t))
+        s, p, o = row = tuple(map(self._intern, t))
+        spo, pos = self._indexes
+        # a term interned since the indexes were built is in none of them
+        if row in self._added or (max(s, p) < len(spo.start) - 1
+                                  and o in _objects(spo, pos, s, p)):
+            return False
+        self._added.add(row)
+        return True
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._indexes[0].pair) + len(self._added)
 
     def snapshot(self) -> bytes:
-        """The store as bytes that from_snapshot reads back: SNAPSHOT_HEADER,
-        the terms by id as (kind, lexical, language, datatype) tuples, both
-        indexes and the size. marshal format 2 writes no back-references,
-        which depend on reference counts, so a store built from the same
-        input always gives the same bytes."""
-        with _no_cycle_collection():
-            terms = [(t.kind, t.lexical, t.language, t.datatype)
-                     for t in self._terms]
-            return marshal.dumps(
-                (SNAPSHOT_HEADER, terms, self._spo, self._pos, self._size), 2)
+        """The store as bytes that from_snapshot reads back: one marshal
+        (format 2) tuple of SNAPSHOT_HEADER, the terms by id as (kind,
+        lexical, language, datatype) tuples, then the raw bytes of each
+        index array, _SubjectIndex's and then _PairIndex's in field order.
+        Format 2 writes no back-references, which depend on reference
+        counts, so a store built from the same input always gives the same
+        bytes. They are written a part at a time, so the writer holds
+        little more than them."""
+        spo, pos = self._current()
+        arrays = (*spo, *pos)
+        out = io.BytesIO()
+        out.write(_framing(_TUPLE, 2 + len(arrays)))
+        out.write(marshal.dumps(SNAPSHOT_HEADER, 2))
+        out.write(_framing(_LIST, len(self._terms)))
+        for i in range(0, len(self._terms), _TERM_CHUNK):
+            chunk = [tuple(t) for t in self._terms[i:i + _TERM_CHUNK]]
+            # the chunk's items, without its own list framing
+            out.write(memoryview(marshal.dumps(chunk, 2))[5:])
+        for a in arrays:
+            out.write(_framing(_BYTES, len(a) * a.itemsize))
+            out.write(a)
+        return out.getvalue()
 
     @classmethod
     def from_snapshot(cls, data: bytes) -> TripleStore:
         """The store whose snapshot() data is. Every term is checked by the
         Term constructor's rule, then built without calling it. A header
         other than this process's SNAPSHOT_HEADER is a ValueError naming the
-        field. marshal is not safe on damaged bytes: check data's integrity
-        first."""
+        field. The index arrays are read in place, as int views of the
+        bytes that marshal gives: no copy, and no spare room. marshal is
+        not safe on damaged bytes: check data's integrity first."""
         kinds = {IRI: IRI, LITERAL: LITERAL, BLANK: BLANK}  # one str each
         new = tuple.__new__
         store = cls()
         with _no_cycle_collection():
-            header, terms, store._spo, store._pos, store._size = (
-                marshal.loads(data))
+            header, terms, *indexes = marshal.loads(data)
             found = dict(header)
             for name, value in SNAPSHOT_HEADER:
                 if found.get(name) != value:
@@ -226,17 +416,19 @@ class TripleStore:
             store._terms = [new(Term, (kinds[kind], lexical, language,
                                        datatype))
                             for kind, lexical, language, datatype in terms]
-            store._ids = dict(zip(store._terms, range(len(terms))))
+            store._ids = {t: i for i, t in enumerate(store._terms)}
+            arrays = [memoryview(raw).cast("i") for raw in indexes]
+            store._use(_SubjectIndex(*arrays[:2]), _PairIndex(*arrays[2:]))
         return store
 
     def __iter__(self):
         t = self._terms
-        return (Triple(t[s], t[p], t[o]) for s, by_p in self._spo.items()
-                for p, objects in by_p.items() for o in objects)
+        return (Triple(t[s], t[p], t[o])
+                for s, p, o in zip(*self._columns(*self._current())))
 
     def __contains__(self, t: Triple) -> bool:
         s, p, o = map(self._id, t)
-        return o in self._spo.get(s, {}).get(p, ())
+        return o in _objects(*self._current(), s, p)
 
     def __eq__(self, other: object) -> bool:
         # ids depend on insertion order, so compare the triples' terms
@@ -244,22 +436,21 @@ class TripleStore:
             return NotImplemented
         return len(self) == len(other) and all(t in other for t in self)
 
+    def _is_subject(self, i: int) -> bool:
+        start = self._current()[0].start
+        return start[i] < start[i + 1]
+
     def has_subject(self, s: Term) -> bool:
-        return self._id(s) in self._spo
+        return self._is_subject(self._id(s))
 
     def subjects_with(self, p: Term, o: Term) -> set[Term]:
-        return self._term_set(self._pos.get((self._id(p), self._id(o)), ()))
+        pos = self._current()[1]
+        return self._term_set(pos.subjects(pos.find(self._id(p),
+                                                    self._id(o))))
 
     def objects_of(self, s: Term, p: Term) -> set[Term]:
-        return self._term_set(
-            self._spo.get(self._id(s), {}).get(self._id(p), ()))
-
-    def _features(self, e: int, excluded: set[int]):
-        """(property, value) id pairs of e, minus the excluded predicates."""
-        for p, objects in self._spo.get(e, {}).items():
-            if p not in excluded:
-                for o in objects:
-                    yield p, o
+        return self._term_set(_objects(*self._current(), self._id(s),
+                                       self._id(p)))
 
     def support_counter(self, universe: Iterable[Term]
                         ) -> Callable[[Feature | PathFeature], int]:
@@ -267,30 +458,43 @@ class TripleStore:
         feature: a property-value pair, or a two-hop path via any node.
         Each feature is counted once, on first use."""
         members = self._id_set(universe)
-        pos, id_of = self._pos, self._id
+        id_of = self._id
 
         @cache
         def global_support(f: Feature | PathFeature) -> int:
+            pos = self._current()[1]
             if isinstance(f, Feature):
-                return len(members.intersection(
-                    pos.get((id_of(f.property), id_of(f.value)), ())))
-            first = id_of(f.first)
-            mids = pos.get((id_of(f.second), id_of(f.terminal)), ())
-            return len(members.intersection(set().union(
-                *(pos.get((first, mid), ()) for mid in mids))))
+                return len(members.intersection(self._holders[
+                    pos.find(id_of(f.property), id_of(f.value))]))
+            parent_pairs = self._object_pairs[id_of(f.first)]
+            rows, subjects = pos.rows, pos.s
+            holders: set[int] = set()
+            for mid in pos.subjects(pos.find(id_of(f.second),
+                                             id_of(f.terminal))):
+                j = parent_pairs.get(mid)
+                if j is not None:
+                    holders.update(subjects[rows[j]:rows[j + 1]])
+            return len(members.intersection(holders))
         return global_support
 
     def shared_features(self, e: Term, neighbors: Iterable[Term],
                         excluded_predicates: Iterable[Term] = ()
                         ) -> dict[Feature, set[Term]]:
         """Features of e held by at least one of the given neighbors."""
-        terms, pos, nbrs = self._terms, self._pos, self._id_set(neighbors)
+        (spo, pos), terms = self._current(), self._terms
+        excluded, nbrs = (self._id_set(excluded_predicates),
+                          self._id_set(neighbors))
+        i, rows = self._id(e), pos.rows
         out: dict[Feature, set[Term]] = {}
-        for p, o in self._features(self._id(e),
-                                   self._id_set(excluded_predicates)):
-            witnesses = nbrs.intersection(pos[p, o])
-            if witnesses:
-                out[Feature(terms[p], terms[o])] = self._term_set(witnesses)
+        for j in spo.pairs(i):
+            # a pair that e alone holds has no other witness: half the pairs
+            # of a long-tail film, whose holder sets are never made
+            if pos.p[j] not in excluded and (rows[j + 1] - rows[j] > 1
+                                             or i in nbrs):
+                witnesses = nbrs.intersection(self._holders[j])
+                if witnesses:
+                    out[Feature(terms[pos.p[j]], terms[pos.o[j]])] = (
+                        self._term_set(witnesses))
         return out
 
     def shared_two_hop_paths(self, e: Term, neighbors: Iterable[Term],
@@ -303,19 +507,23 @@ class TripleStore:
         on both sides and are never required to coincide. Neither hop may
         use an excluded predicate.
         """
+        (spo, pos), terms = self._current(), self._terms
         excluded = self._id_set(excluded_predicates)
-        spo, pos, terms = self._spo, self._pos, self._terms
-        nbrs = [(s, spo.get(s, {})) for s in self._id_set(neighbors)]
-        own = {(p, q, t) for p, o in self._features(self._id(e), excluded)
-               for q, t in self._features(o, excluded)}
-        # each first property's objects over all neighbors: a path through
-        # none of them has no witness, and most paths need no neighbor scan
-        reach = {p: set().union(*(by_p.get(p, ()) for _, by_p in nbrs))
-                 for p in {p for p, _, _ in own}}
-        return {PathFeature(terms[p], terms[q], terms[t]):
-                self._term_set(s for s, by_p in nbrs
-                               if not pos[q, t].isdisjoint(by_p.get(p, ())))
-                for p, q, t in own if not pos[q, t].isdisjoint(reach[p])}
+        # e's paths by first property p: the (q, t) pairs of its p-objects
+        ends: dict[int, set[int]] = {}
+        for j in spo.pairs(self._id(e)):
+            if pos.p[j] not in excluded:
+                pairs = {k for k in spo.pairs(pos.o[j])
+                         if pos.p[k] not in excluded}
+                if pairs:
+                    ends.setdefault(pos.p[j], set()).update(pairs)
+        witnesses: dict[tuple[int, int], list[int]] = {}
+        for n in self._id_set(neighbors):
+            for p, pairs in ends.items():
+                for k in pairs.intersection(self._ends[n, p]):
+                    witnesses.setdefault((p, k), []).append(n)
+        return {PathFeature(terms[p], terms[pos.p[k]], terms[pos.o[k]]):
+                self._term_set(ws) for (p, k), ws in witnesses.items()}
 
     def knn_edges(self, lists: Mapping[str, NeighborList],
                   link: Mapping[str, str], predicate: Term
@@ -325,7 +533,7 @@ class TripleStore:
         a message per item with no entity. Self-loops, also from two ids of
         one entity, are dropped."""
         resolve = cache(partial(self._linked_id, link=link))
-        knn, terms = self._id(predicate), self._terms
+        indexes, knn, terms = self._current(), self._id(predicate), self._terms
         seen: set[tuple[int, int]] = set()
         pairs, skipped = [], []
         for center_id in sorted(lists):
@@ -333,7 +541,7 @@ class TripleStore:
             if c < 0:
                 skipped.append(f"center {center_id}: no resolvable entity")
                 continue
-            present = self._spo[c].get(knn, ())
+            present = _objects(*indexes, c, knn)
             for neighbor_id, _score in lists[center_id].neighbors:
                 n = resolve(neighbor_id)
                 if n < 0:
@@ -355,7 +563,7 @@ class TripleStore:
     def _linked_id(self, item: str, link: Mapping[str, str]) -> int:
         target = link.get(item)
         i = -1 if target is None else self._id(iri(target))
-        return i if i in self._spo else -1
+        return i if self._is_subject(i) else -1
 
     def linked_entity(self, item: str, link: Mapping[str, str]) -> Term | None:
         """The entity the link map gives for item, if it is a subject here."""
@@ -431,6 +639,7 @@ def load_ntriples(source: IO[str] | Iterable[str]
     store = TripleStore()
     diagnostics: list[Diagnostic] = []
     token_ids: dict[str, int | str] = {}
+    rows = array("i")  # the id triples, one after another
 
     def token_id(token: str) -> int | str:
         try:
@@ -455,7 +664,9 @@ def load_ntriples(source: IO[str] | Iterable[str]
                 reason = next(i for i in ids if type(i) is str)
                 diagnostics.append(Diagnostic(line_no, reason))
             else:
-                store._add(*ids)
+                rows.extend(ids)
+        token_ids.clear()  # not held while the store is indexed
+        store._index(rows[0::3], rows[1::3], rows[2::3])
     return store, diagnostics
 
 

@@ -28,7 +28,7 @@ from knnsum import cli as knnsum_cli
 from knnsum.cli import (PipelineConfig, main, render_summary_structured,
                         write_bundle)
 from knnsum.similarity import NeighborList, all_pairs_knn
-from knnsum.rdf import RDF_TYPE, iri
+from knnsum.rdf import RDF_TYPE, SNAPSHOT_HEADER, TripleStore, iri
 from knnsum.summarize import summarize
 from knnsum.usage import RatingsFormat, UsageMatrix, ingest_ratings
 from knnsum.rdf import load_ntriples
@@ -272,6 +272,27 @@ def test_summarize_empty_target_is_a_resolution_error(eight_film_corpus,
 def test_summarize_without_targets_errors(eight_film_corpus, capsys):
     build(eight_film_corpus)
     assert main(["summarize", "--config", str(eight_film_corpus.config)]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["neighbors", "--config", "{config}", "--bogus", "m1"],
+     "unrecognized arguments: --bogus"),
+    (["neighbors", "--config", "{config}"],
+     "the following arguments are required: target"),
+    (["frob"], "invalid choice: 'frob'"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown flag", "missing target", "unknown command", "no command"])
+def test_usage_errors_are_input_errors(eight_film_corpus, capsys, argv,
+                                       message):
+    # argparse's own exit code, 2, is the code of a resolution error
+    assert build(eight_film_corpus) == 0
+    capsys.readouterr()
+    assert main([a.format(config=eight_film_corpus.config)
+                 for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_flags_override_config(eight_film_corpus, capsys):
@@ -686,6 +707,25 @@ def test_readme_library_example_runs(eight_film_corpus):
                                   for wf in summary.features)
 
 
+def test_readme_snapshot_reader_runs(eight_film_corpus, capsys):
+    # the README reads a snapshot with marshal and array alone
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n### Bundle v3\n")[1].split("\n## ")[0]
+    reader = section.split("```python\n")[1].split("```")[0]
+    (eight_film_corpus.root / "out").mkdir()
+    assert build(eight_film_corpus, "--bundle",
+                 str(eight_film_corpus.root / "out" / "bundle.json")) == 0
+    proc = subprocess.run([sys.executable, "-c", reader],
+                          cwd=eight_film_corpus.root, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    store, _ = load_ntriples(eight_film_corpus.triples.read_text()
+                             .splitlines())
+    assert sorted(proc.stdout.splitlines()) == sorted(
+        " ".join(repr(tuple(term)) for term in t) for t in store)
+
+
 def test_every_exported_name_is_bound():
     assert [name for name in knnsum.__all__ if not hasattr(knnsum, name)] == []
 
@@ -845,7 +885,7 @@ EIGHT_FILM_OUTPUTS = {
     "build": (
         "f47a0f50bae51c746d727acfc3a9c329986da72670045913053d6336590f4188"),
     "bundle.json": (
-        "e122639a0b7fe9dc9f94a172134e988e9b20aa6ea18db2449888f111e9ab3945"),
+        "7875e8f77c7b1ab58b7dbc6537c2e76a3ef5a08d60545e5ea6b973621db60366"),
     "summarize --all": (
         "8b8975aef752599654ffbafb49d7f2f4c6b9a1a1408b7ef448609d1b7255856c"),
     "summarize --all --two-hop --format structured": (
@@ -855,6 +895,10 @@ EIGHT_FILM_OUTPUTS = {
     "neighbors <m6 iri>": (
         "7a9d621f41070c3ac938e5e2d661ea576ea696e6f15c7498ef3382ddb3b6af00"),
 }
+
+
+# the 8-film graph snapshot's size, which the bundle records
+EIGHT_FILM_SNAPSHOT_BYTES = 1452
 
 
 def test_eight_film_outputs_are_pinned(eight_film_corpus, capsys):
@@ -1213,6 +1257,23 @@ def _snapshot_of_another_build(corpus) -> None:
     shutil.copy(other / "bundle.json.graph", snapshot_of(corpus))
 
 
+def _as_nested_layout(corpus) -> None:
+    """The snapshot as the nested-dict layout wrote it, before its header
+    named an index_layout: the terms, the subject and predicate-object
+    indexes as dicts of sets, and the size."""
+    data = snapshot_of(corpus).read_bytes()
+    header, terms, *_arrays = marshal.loads(data)
+    store = TripleStore.from_snapshot(data)
+    spo, pos = {}, {}
+    for t in store:
+        s, p, o = (store._ids[term] for term in t)
+        spo.setdefault(s, {}).setdefault(p, set()).add(o)
+        pos.setdefault((p, o), set()).add(s)
+    header = tuple(field for field in header if field[0] != "index_layout")
+    _record_snapshot(corpus, marshal.dumps(
+        (header, terms, spo, pos, len(store)), 2))
+
+
 def _as_version_1(corpus) -> None:
     payload = json.loads(corpus.bundle.read_text())
     for name in ("format_version", "graph", "links", "ratings", "snapshot"):
@@ -1249,6 +1310,10 @@ BUNDLE_PAIR_DAMAGE = {
     "version 1 bundle": (
         _as_version_1, "has format_version = None, but this knnsum reads "
                        "format_version = 3; "),
+    "nested-dict snapshot": (
+        _as_nested_layout,
+        "was written with index_layout = None, but this process has "
+        f"index_layout = {dict(SNAPSHOT_HEADER)['index_layout']!r}; "),
 }
 
 
@@ -1308,6 +1373,34 @@ def test_summarize_all_skips_typed_blank_nodes(eight_film_corpus, capsys):
     assert [line.split("\t")[0] for line in captured.out.splitlines()
             if line.startswith("#")] == [f"# <{film_iri(m)}>"
                                          for m in sorted(FILMS)]
+
+
+def test_snapshot_bytes_repeat_across_builds_and_hash_seeds(
+        eight_film_corpus, capsys):
+    # the snapshot holds sorted id arrays and terms in the graph's order, so
+    # neither a second build nor another string hash seed changes a byte
+    snapshots = []
+    for _ in range(2):
+        assert build(eight_film_corpus) == 0
+        snapshots.append(snapshot_of(eight_film_corpus).read_bytes())
+    for seed in ("0", "1"):
+        bundle = eight_film_corpus.root / f"seed{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "knnsum", "build", "--config",
+             str(eight_film_corpus.config), "--bundle", str(bundle)],
+            capture_output=True, text=True,
+            env={**_child_env(), "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        snapshots.append(Path(f"{bundle}.graph").read_bytes())
+    assert len(set(snapshots)) == 1
+
+
+def test_eight_film_snapshot_size_is_pinned(eight_film_corpus, capsys):
+    # the same on every Python that CI runs: the header's python_version
+    # is always "3.N" with a two-digit N
+    assert build(eight_film_corpus) == 0
+    assert (snapshot_of(eight_film_corpus).stat().st_size
+            == EIGHT_FILM_SNAPSHOT_BYTES)
 
 
 def test_neighbors_reads_neither_graph_nor_snapshot(eight_film_corpus,

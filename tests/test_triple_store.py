@@ -3,6 +3,9 @@ import io
 import marshal
 import random
 import re
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +317,62 @@ def test_snapshot_terms_are_checked_by_the_term_constructor():
                 marshal.dumps((header, terms, *indexes), 2))
 
 
+@given(documents)
+@settings(max_examples=50, deadline=None)
+def test_snapshot_is_framed_as_marshal_frames_it(lines):
+    # snapshot() writes marshal's framing itself, a part at a time; marshal
+    # must read it back, and write the same bytes for what it read
+    data = load_ntriples(lines)[0].snapshot()
+    assert marshal.dumps(marshal.loads(data), 2) == data
+
+
+@pytest.fixture(scope="module")
+def bench_long_tail_graph() -> list[str]:
+    """The benchmark's long-tail graph at bench size, seed 1."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import corpus
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    sizes = workloads.CORPUS_SIZES["longtail"]["bench"]
+    graph = corpus.longtail_corpus(1, **sizes).graph
+    return graph.decode("utf-8").splitlines(keepends=True)
+
+
+def _held(make) -> int:
+    """The bytes that make's result holds under tracemalloc: what deleting
+    it frees, so not what the allocator keeps cached."""
+    result = make()
+    held = tracemalloc.get_traced_memory()[0]
+    del result
+    return held - tracemalloc.get_traced_memory()[0]
+
+
+def test_snapshot_store_holds_no_more_than_a_parsed_one(bench_long_tail_graph):
+    data = load_ntriples(bench_long_tail_graph)[0].snapshot()
+    tracemalloc.start()
+    try:
+        parsed = _held(lambda: load_ntriples(bench_long_tail_graph)[0])
+        loaded = _held(lambda: TripleStore.from_snapshot(data))
+    finally:
+        tracemalloc.stop()
+    assert 0 < loaded <= parsed
+
+
+def test_snapshot_allocates_little_beyond_its_bytes(bench_long_tail_graph):
+    store = load_ntriples(bench_long_tail_graph)[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = store.snapshot()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(data) <= peak <= 1.2 * len(data)
+
+
 # -- store semantics ---------------------------------------------------------------
 
 def test_index_consistency_on_random_store():
@@ -328,6 +387,22 @@ def test_index_consistency_on_random_store():
     typed = {t.subject for t in tset
              if t.predicate == RDF_TYPE and t.object == FILM}
     assert entity_universe(store, FILM) == typed
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_adds_between_queries_equal_one_build(rng, parts):
+    # triples added after a query are indexed with the earlier ones on the
+    # next query, as if the store had been built from them all at once
+    _store, triples = random_store(rng, max_entities=12)
+    store, seen = TripleStore(), set()
+    for i in range(parts):
+        for t in triples[i::parts]:
+            assert store.add(t) == (t not in seen)
+            seen.add(t)
+        assert store == TripleStore(seen)  # a query between the parts
+    assert len(store) == len(seen)
+    assert not any(store.add(t) for t in triples)
 
 
 def test_entities_with_feature_and_type_filter():
