@@ -22,6 +22,14 @@ if TYPE_CHECKING:
 
 DEFAULT_K = 20
 
+# The most entries the gram of a chunk of center rows expands to at once,
+# unless one row alone expands to more: it bounds the chunk's temporaries.
+_CHUNK_ENTRIES = 1 << 17
+# A chunk's entries are counted by sorting them when they are fewer than
+# its rows times the columns they can pair with by this factor, and with
+# np.bincount over that dense rows x columns array otherwise.
+_SPARSE_RATIO = 8
+
 
 class UndefinedTableError(ValueError):
     """The all-zero contingency table has no defined likelihood ratio."""
@@ -101,13 +109,13 @@ def _xlx_table(n: int) -> np.ndarray:
 class _Kernel:
     """G2 similarity over the integer-coded usage matrix.
 
-    It takes sparse co-rater gram products and scores only their
-    nonzeros, so pairs with no common rater are never scored. Each score
-    repeats the float operations of log_likelihood_ratio and
-    similarity_score in their order, with x ln x read from a table and
-    the margin entropy of each item computed once, so it equals the
-    per-table score of the pair bit for bit, whichever of the two items
-    is the center.
+    It counts the common raters of item pairs from the usage matrix's
+    rows (see gram) and scores only the pairs that have one, so pairs
+    with no common rater are never scored. Each score repeats the float
+    operations of log_likelihood_ratio and similarity_score in their
+    order, with x ln x read from a table and the margin entropy of each
+    item computed once, so it equals the per-table score of the pair bit
+    for bit, whichever of the two items is the center.
     """
 
     def __init__(self, m: UsageMatrix):
@@ -155,26 +163,100 @@ class _Kernel:
         score[rank1] = 0.0  # a rank-1 table scores exactly 0
         return score
 
+    def gram(self, start: int, stop: int, later: bool
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The co-rater counts k11 of the pairs (i, j) that share a rater,
+        with start <= i < stop and, with later set, j > i, else any j:
+        (rows, cols, k11), grouped by i, all int32.
+
+        Each (i, rater) entry of by_item expands into the rater's items
+        from i's successor on (with later set) or from the first, read
+        from by_user. The center rows are counted a chunk at a time, and a
+        chunk expands to at most _CHUNK_ENTRIES entries unless one row
+        alone expands to more.
+        """
+        import numpy as np
+
+        m = self.m
+        by_item, by_user = m.by_item, m.by_user
+        base = by_item.indptr[start]
+        raters = by_item.indices[base:by_item.indptr[stop]]
+        begin = (m.by_user_pos[base:by_item.indptr[stop]] + 1 if later
+                 else by_user.indptr[raters])
+        size = by_user.indptr[raters + 1] - begin
+        del raters
+        # entry_end[e]: the expansion of the block's entries before e;
+        # row_end[r]: that of its rows before start + r
+        entry_end = np.zeros(len(size) + 1, dtype=np.int64)
+        np.cumsum(size, out=entry_end[1:])
+        row_end = entry_end[by_item.indptr[start:stop + 1] - base]
+        parts = []
+        a = 0
+        while a < stop - start:
+            b = int(np.searchsorted(row_end, row_end[a] + _CHUNK_ENTRIES,
+                                    side="right")) - 1
+            b = max(b, a + 1)
+            lo = by_item.indptr[start + a] - base
+            hi = by_item.indptr[start + b] - base
+            # the by_user index of each expanded entry
+            at = np.repeat(begin[lo:hi] - entry_end[lo:hi], size[lo:hi])
+            at += np.arange(entry_end[lo], entry_end[hi])
+            parts.append(self._count(start + a, start + b, later,
+                                     by_user.indices[at],
+                                     np.diff(row_end[a:b + 1])))
+            del at
+            a = b
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _count(self, start: int, stop: int, later: bool, items: np.ndarray,
+               per_row: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """gram's (rows, cols, k11) for the centers start..stop-1 from
+        their expansion: the items, per_row[r] of them for center
+        start + r, grouped by center."""
+        import numpy as np
+
+        # a key per (center, item): the local row times the width of the
+        # columns the chunk's centers can pair with, from first on, plus
+        # the item's place among them
+        first = start + 1 if later else 0
+        width = len(self.m.items) - first
+        n_rows = stop - start
+        row_key = np.arange(n_rows + 1, dtype=np.int64)
+        row_key *= width
+        row_base = row_key[:-1] - first
+        key = np.repeat(row_base, per_row)
+        key += items
+        if len(key) * _SPARSE_RATIO < n_rows * width:
+            # far fewer entries than keys: sort them, count each run
+            key.sort()
+            new = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            at = np.flatnonzero(new)
+            del new
+            k11 = np.diff(at, append=len(key))
+            key = key[at]
+        else:
+            counts = np.bincount(key, minlength=n_rows * width)
+            key = np.flatnonzero(counts)
+            k11 = counts[key]
+            del counts
+        per_key_row = np.diff(np.searchsorted(key, row_key))
+        rows = np.repeat(np.arange(start, stop, dtype=np.int32), per_key_row)
+        key -= np.repeat(row_base, per_key_row)
+        return rows, key.astype(np.int32), k11.astype(np.int32)
+
     def pairs(self, start: int, stop: int, floor: float, later: bool
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs (i, j) with start <= i < stop that share a rater and
         score above floor, grouped by i, and their scores: with later set,
         only those with j > i, else every j != i. Item numbers are int32."""
-        import numpy as np
-
-        m = self.m
-        first = start if later else 0
-        # the raters of items start..stop-1 times the items from first on
-        gram = m.by_item[start:stop] @ (m.by_user[:, first:] if first
-                                        else m.by_user)
-        rows = np.repeat(np.arange(start, stop, dtype=np.int32),
-                         np.diff(gram.indptr))
-        cols = gram.indices
-        cols += np.int32(first)
-        score = self.scores(rows, cols, gram.data)
-        del gram
+        rows, cols, k11 = self.gram(start, stop, later)
+        score = self.scores(rows, cols, k11)
+        del k11
         keep = score > floor
-        keep &= (cols > rows) if later else (cols != rows)
+        if not later:
+            keep &= cols != rows
         return rows[keep], cols[keep], score[keep]
 
     def one(self, e: str, k: int | None, tau: float | None) -> NeighborList:

@@ -3,9 +3,9 @@
 Rating values are treated as evidence of usage only: a (user, item) pair is
 either present or absent, numerical scores are discarded at ingestion.
 
-numpy and scipy are imported in the functions that compute with them, so
-that importing knnsum, as the neighbors and summarize commands do, does
-not load them.
+numpy is imported in the functions that compute with it, so that
+importing knnsum, as the neighbors and summarize commands do, does not
+load it.
 """
 
 from __future__ import annotations
@@ -70,19 +70,29 @@ class RatingsFormat:
                                self.timestamp_col) if c is not None)
 
 
+class CSR(NamedTuple):
+    """The nonzero pattern of a 0/1 sparse matrix in compressed rows: row
+    r holds the columns indices[indptr[r]:indptr[r + 1]], ascending."""
+
+    indptr: np.ndarray  # int64, one more than there are rows
+    indices: np.ndarray  # int32
+    shape: tuple[int, int]
+
+
 class UsageMatrix:
     """Immutable binary user x item incidence, integer-coded.
 
     items and users hold the distinct ids in sorted() order, and row i of
     by_item (column i of by_user) is items[i], column j is users[j]. Both
-    sparse matrices hold 1 per (user, item) pair, with the indices of each
-    row in ascending order; counts holds the raters per item. Membership
-    only, no rating values. Safe for concurrent readers once constructed.
+    hold one entry per distinct (user, item) pair; counts holds the
+    raters per item. by_user_pos[e] is the index in by_user.indices of
+    the pair that entry e of by_item holds: that rater's items after the
+    item follow it. Membership only, no rating values. Safe for
+    concurrent readers once constructed.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str]]):
         import numpy as np
-        from scipy import sparse
 
         user_code: dict[str, int] = {}
         item_code: dict[str, int] = {}
@@ -94,18 +104,39 @@ class UsageMatrix:
         self.users, user_rank = _sorted_codes(user_code)
         self.items, item_rank = _sorted_codes(item_code)
         self.item_index = {item: i for i, item in enumerate(self.items)}
-        # COO -> CSR sorts each row's indices; duplicate pairs sum, then
-        # every stored value is set back to 1
-        self.by_item = sparse.csr_matrix(
-            (np.ones(len(item_row), dtype=np.int32),
-             (item_rank[np.frombuffer(item_row, dtype=np.int32)],
-              user_rank[np.frombuffer(user_col, dtype=np.int32)])),
-            shape=(len(self.items), len(self.users)))
+        n_items, n_users = len(self.items), len(self.users)
+        # one key per pair, item major; after the sort a repeated pair
+        # repeats its neighbour (np.unique sorts far slower)
+        pair = item_rank[np.frombuffer(item_row, dtype=np.int32)].astype(
+            np.int64)
+        pair *= n_users
+        pair += user_rank[np.frombuffer(user_col, dtype=np.int32)]
         del user_col, item_row
-        self.by_item.sum_duplicates()
-        self.by_item.data[:] = 1
+        pair.sort()
+        distinct = np.ones(len(pair), dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=distinct[1:])
+        pair = pair[distinct]
+        del distinct
+        nnz = len(pair)
+        item = np.empty(nnz, dtype=np.int32)
+        np.floor_divide(pair, n_users, out=item, casting="unsafe")
+        np.remainder(pair, n_users, out=pair)  # now the user of each pair
+        self.by_item = CSR(_row_starts(item, n_items), pair.astype(np.int32),
+                           (n_items, n_users))
         self.counts = np.diff(self.by_item.indptr).astype(np.int32)
-        self.by_user = self.by_item.T.tocsr()
+        # the pairs user major: sorting each pair's user with its index in
+        # by_item keeps every user's items ascending
+        pair *= nnz
+        pair += np.arange(nnz)
+        pair.sort()
+        user = np.empty(nnz, dtype=np.int32)
+        np.floor_divide(pair, nnz, out=user, casting="unsafe")
+        np.remainder(pair, nnz, out=pair)  # now the index in by_item
+        self.by_user = CSR(_row_starts(user, n_users), item[pair],
+                           (n_users, n_items))
+        del user, item
+        self.by_user_pos = np.empty(nnz, dtype=np.int64)
+        self.by_user_pos[pair] = np.arange(nnz)
 
     @property
     def total_users(self) -> int:
@@ -136,6 +167,16 @@ class UsageMatrix:
 
     def __repr__(self) -> str:
         return f"UsageMatrix(users={len(self.users)}, items={len(self.items)})"
+
+
+def _row_starts(row: np.ndarray, n_rows: int) -> np.ndarray:
+    """The indptr of a CSR whose entries have the ascending row numbers
+    row."""
+    import numpy as np
+
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+    return indptr
 
 
 def _sorted_codes(code: dict[str, int]) -> tuple[list[str], np.ndarray]:

@@ -54,6 +54,23 @@ def brute_contingency(pairs: list[tuple[str, str]], a: str, b: str
     return k11, k12, k21, k22
 
 
+def brute_corater_counts(pairs: list[tuple[str, str]], later: bool
+                         ) -> list[tuple[int, int, int]]:
+    """(i, j, k11) for each pair of items that share k11 > 0 raters, with
+    j > i when later is set, else any j (i itself too), in (i, j) order;
+    items are numbered in sorted() order. Counted by intersecting rater
+    sets rescanned from the raw log."""
+    items = sorted({i for _, i in pairs})
+    raters = [{u for u, i in pairs if i == item} for item in items]
+    counts = []
+    for i in range(len(items)):
+        for j in range(i + 1 if later else 0, len(items)):
+            k11 = len(raters[i] & raters[j])
+            if k11:
+                counts.append((i, j, k11))
+    return counts
+
+
 # -- neighborhoods --------------------------------------------------------------
 
 def rater_sets(m: UsageMatrix) -> dict[str, set[str]]:

@@ -567,7 +567,8 @@ def pinned_bundle_text(corpus) -> str:
 
 # knnsum.cli.main(sys.argv[1:]) in a fresh interpreter, which then writes
 # the numpy, scipy and concurrent.futures modules it loaded as the last
-# line of stderr: only build computes with them
+# line of stderr: only build computes with numpy and a thread pool, and no
+# command loads scipy
 _MAIN_THEN_HEAVY_MODULES = """
 import sys
 from knnsum.cli import main
@@ -604,6 +605,15 @@ def test_lookups_load_neither_numpy_nor_scipy(eight_film_corpus, capsys,
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert proc.stderr.splitlines()[-1] == "[]"
+
+
+def test_build_loads_numpy_and_no_scipy(eight_film_corpus):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_HEAVY_MODULES, "build", "--config",
+         str(eight_film_corpus.config)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "['concurrent.futures', 'numpy']"
 
 
 # knnsum.cli.main(sys.argv[1:]) in a fresh interpreter with the cycle

@@ -191,3 +191,37 @@ def test_cli_outputs_equal_the_oracles(seed, k, tau, two_hop, n):
         assert [line[:len(prefix)] for line, prefix in
                 zip(err.splitlines(), errors)] == errors
         assert err.count("\n") == len(errors)
+
+
+def test_equal_weights_rank_the_larger_neighbor_support_first(tmp_path):
+    # |E| = 16 films. g1 is held by m00, its neighbor m01 and two others:
+    # (|A|, |B|) = (1, 4); g2 by m00, both neighbors and five others:
+    # (2, 8). ln 4 and 2 ln 2 are the same double, so only the support
+    # tie-break puts g2 first; g1 sorts first by value.
+    films = [iri(f"{EX}film/m{i:02d}") for i in range(16)]
+    genre = iri(f"{EX}genre")
+    holders = {iri(f"{EX}g1"): (0, 1, 3, 4),
+               iri(f"{EX}g2"): (0, 1, 2, 5, 6, 7, 8, 9)}
+    triples = [Triple(film, RDF_TYPE, FILM) for film in films]
+    triples += [Triple(films[i], genre, g)
+                for g, held in holders.items() for i in held]
+    # m00, m01 and m02 share their three raters; every other film has one
+    # rater of its own
+    pairs = [(f"u{u}", f"m{i:02d}") for u in range(3) for i in range(3)]
+    pairs += [(f"v{i}", f"m{i:02d}") for i in range(3, 16)]
+    links = {f"m{i:02d}": film.lexical for i, film in enumerate(films)}
+    config = _write(tmp_path, pairs, triples, links, {})
+    assert _run("build", "--config", str(config))[0] == 0
+    code, out, err = _run("summarize", "--config", str(config), "--format",
+                          "structured", "m00")
+    matrix = UsageMatrix(pairs)
+    lists = {item: knn_oracle(matrix, item, 20) for item in matrix.items}
+    universe = set(films)
+    assert (code, err) == (0, "")
+    assert out == _expected_summary(triples, links, lists, universe, universe,
+                                    films[0], "m00", False, 10, 20,
+                                    "fixed-k", True)
+    rows = [line.split("\t") for line in out.splitlines()[5:7]]
+    assert [(row[1], row[2], row[5]) for row in rows] == [
+        ("weight=1.386294", "neighbor_support=2", f"value=<{EX}g2>"),
+        ("weight=1.386294", "neighbor_support=1", f"value=<{EX}g1>")]

@@ -3,16 +3,19 @@ import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knnsum.similarity import (NeighborList, UndefinedTableError,
+from knnsum import similarity
+from knnsum.similarity import (NeighborList, UndefinedTableError, _Kernel,
                                all_pairs_knn, format_neighbors_tsv,
                                k_nearest_neighbors, log_likelihood_ratio,
                                neighbors_above_threshold, similarity_score)
 from knnsum.usage import ContingencyTable, UnknownItemError, UsageMatrix
-from oracles import g2_oracle, knn_oracle, rater_sets, threshold_oracle
+from oracles import (brute_corater_counts, g2_oracle, knn_oracle, rater_sets,
+                     threshold_oracle)
 
 cells = st.integers(min_value=0, max_value=5000)
 tables = st.tuples(cells, cells, cells, cells).filter(lambda t: sum(t) > 0)
@@ -280,6 +283,30 @@ def test_kernel_equals_oracle_bit_for_bit(pairs, k, tau):
     for e in m.items:
         assert k_nearest_neighbors(m, e, k).neighbors == want_knn[e]
         assert neighbors_above_threshold(m, e, tau).neighbors == want_tau[e]
+
+
+@given(usage_logs(), st.booleans(), st.sampled_from((1, 7, 64)),
+       st.sampled_from((1, 4, similarity._CHUNK_ENTRIES)),
+       st.sampled_from((0, similarity._SPARSE_RATIO, 10**9)))
+@settings(max_examples=100, deadline=None)
+def test_gram_equals_brute_corater_counts(pairs, later, block_size,
+                                          chunk_entries, sparse_ratio):
+    # a cap of 1 or 4 entries splits blocks into chunks of one row or a
+    # few; a ratio of 0 counts every chunk by sorting its keys, 10**9
+    # every chunk with np.bincount
+    m = UsageMatrix(pairs)
+    kernel = _Kernel(m)
+    got = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "_CHUNK_ENTRIES", chunk_entries)
+        patch.setattr(similarity, "_SPARSE_RATIO", sparse_ratio)
+        for start in range(0, len(m.items), block_size):
+            stop = min(start + block_size, len(m.items))
+            rows, cols, k11 = kernel.gram(start, stop, later)
+            assert rows.dtype == cols.dtype == k11.dtype == np.int32
+            assert np.all(np.diff(rows) >= 0)  # grouped by row
+            got += zip(rows.tolist(), cols.tolist(), k11.tolist())
+    assert sorted(got) == brute_corater_counts(pairs, later)
 
 
 def bound_filter_log():

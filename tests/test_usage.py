@@ -143,10 +143,23 @@ def test_matrix_matches_raw_pairs(pairs):
     want = [{u for u, j in pairs if j == i} for i in items]
     assert [m.raters_of(i) for i in items] == want
     assert m.counts.tolist() == [len(r) for r in want]
-    assert m.by_item.shape == (len(m.items), len(m.users))
-    assert np.all(m.by_item.data == 1)
-    assert (m.by_user != m.by_item.T).nnz == 0
+    assert m.by_item.shape == (len(items), len(m.users))
+    assert m.by_user.shape == (len(m.users), len(items))
+    assert m.by_item.indices.dtype == m.by_user.indices.dtype == np.int32
+    user_index = {user: n for n, user in enumerate(m.users)}
+    assert [csr_row(m.by_item, i) for i in range(len(items))] == \
+           [sorted(user_index[u] for u in raters) for raters in want]
+    assert [csr_row(m.by_user, u) for u in range(len(m.users))] == \
+           [sorted({m.item_index[i] for v, i in pairs if v == user})
+            for user in m.users]
+    # each by_item entry's pair, found at its position in by_user
     for i in range(len(items)):
-        row = m.by_item.indices[m.by_item.indptr[i]:m.by_item.indptr[i + 1]]
-        assert row.tolist() == sorted(row.tolist())
+        for e in range(m.by_item.indptr[i], m.by_item.indptr[i + 1]):
+            u, p = m.by_item.indices[e], m.by_user_pos[e]
+            assert m.by_user.indptr[u] <= p < m.by_user.indptr[u + 1]
+            assert m.by_user.indices[p] == i
     assert UsageMatrix(reversed(pairs)) == m
+
+
+def csr_row(csr, r: int) -> list[int]:
+    return csr.indices[csr.indptr[r]:csr.indptr[r + 1]].tolist()
