@@ -446,6 +446,8 @@ def _writing(what: str, path: str):
 
 
 def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
+    # numpy, first imported below, calls no BLAS here: start no BLAS threads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     inputs = {}
     inputs["ratings"], ingest = _parse_input(
         "ratings file", cfg.ratings,

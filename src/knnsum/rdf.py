@@ -19,10 +19,9 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from functools import cache, partial
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, floordiv, mod, mul, ne, sub
+from itertools import chain, compress, count, filterfalse, islice, repeat
+from operator import methodcaller, sub
 from typing import (IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
                     NamedTuple, Sequence)
 
@@ -158,20 +157,6 @@ def _no_cycle_collection():
             gc.enable()
 
 
-def _pack(high: Iterable[int], low: Iterable[int], base: int
-          ) -> Iterator[int]:
-    """high * base + low, item by item."""
-    return map(add, map(mul, high, repeat(base)), low)
-
-
-def _starts(ids: Iterable[int], count: int) -> array:
-    """The count + 1 offsets of the rows of each id below count, for rows
-    sorted by id: id i's rows are offsets[i] to offsets[i + 1]."""
-    rows = Counter(ids)
-    return array("i", accumulate(map(rows.get, range(count), repeat(0)),
-                                 initial=0))
-
-
 class _SubjectIndex(NamedTuple):
     """The triples sorted by (s, p, o): subject s's rows are start[s] to
     start[s + 1], and each row holds the id of its (p, o) pair in
@@ -245,44 +230,43 @@ class TripleStore:
         self._terms: list[Term] = []  # by id
         # triples added since the indexes were built, as id triples
         self._added: set[tuple[int, int, int]] = set()
-        self._index((), (), ())
+        none, zero = array("i"), array("i", [0])  # no triple, no term
+        self._use(_SubjectIndex(zero, none),
+                  _PairIndex(zero, none, none, zero, none))
         for t in triples:
             self.add(t)
 
-    def _index(self, subjects: Iterable[int], predicates: Iterable[int],
-               objects: Iterable[int]) -> None:
-        """Build both indexes over the distinct id triples given as three
-        columns, in any order. Each triple is packed into one int and the
-        ints are sorted: that peaks lower than sorting tuples or building
-        dicts of sets."""
+    def _index(self, rows: array) -> None:
+        """Build both indexes over the id triples in rows, (s, p, o) one
+        after another, in any order and repeats allowed. numpy sorts them
+        as int32 columns; each index array is copied out of numpy once the
+        sort's work arrays are freed, so that it can reuse their memory."""
+        import numpy as np
         n = len(self._terms)
-        keys = sorted(_pack(_pack(predicates, objects, n), subjects, n))
-        # each triple once: a key equal to the next one is dropped
-        keys = list(compress(keys, chain(map(ne, keys, islice(keys, 1, None)),
-                                         [True])))
-        subjects = array("i", map(mod, keys, repeat(n)))
-        pair_keys = array("q", map(floordiv, keys, repeat(n)))  # p * n + o
-        del keys
-        # a new pair starts at row 0 and wherever the pair key changes
-        changes = list(map(ne, pair_keys[1:], pair_keys[:-1]))
-        rows = array("i", [0] if pair_keys else [])
-        rows.extend(compress(count(1), changes))
-        rows.append(len(pair_keys))
-        first_keys = [pair_keys[i] for i in rows[:-1]]
-        del pair_keys
-        predicates = array("i", map(floordiv, first_keys, repeat(n)))
-        pos = _PairIndex(_starts(predicates, n), predicates,
-                         array("i", map(mod, first_keys, repeat(n))), rows,
-                         subjects)
-        # the rows by subject: a counting sort, which keeps each subject's
-        # pair ids ascending, as they are in pos
-        start = _starts(subjects, n)
-        pairs = array("i", [0]) * len(subjects)
-        free = list(start)
-        for s, j in zip(subjects, accumulate(chain([0], changes))):
-            pairs[free[s]] = j
-            free[s] += 1
-        self._use(_SubjectIndex(start, pairs), pos)
+
+        def starts(ids):  # the n + 1 offsets of rows sorted by id
+            return np.append(0, np.cumsum(np.bincount(ids, minlength=n)))
+
+        t = np.frombuffer(rows, np.int32).reshape(-1, 3)
+        t = t[np.lexsort((t[:, 0], t[:, 2], t[:, 1]))]  # by (p, o, s)
+        new = np.ones(len(t), bool)  # each triple once
+        np.any(t[1:] != t[:-1], axis=1, out=new[1:])
+        t = t[new]
+        # a new (p, o) pair starts at row 0 and wherever p or o changes
+        new = np.ones(len(t), bool)
+        np.any(t[1:, 1:] != t[:-1, 1:], axis=1, out=new[1:])
+        s, p, o = np.ascontiguousarray(t[:, 0]), t[new, 1], t[new, 2]
+        del t
+        # the rows by subject, each subject's pair ids still ascending
+        pair = (np.cumsum(new, dtype=np.int32) - 1)[np.argsort(
+            s, kind="stable")]
+        columns = [starts(p), p, o, np.append(np.flatnonzero(new), len(s)),
+                   s, starts(s), pair]
+        del new, s, p, o, pair
+        arrays = [array("i") for _ in columns]
+        for a in arrays:
+            a.frombytes(np.asarray(columns.pop(0), np.int32).view(np.uint8))
+        self._use(_SubjectIndex(*arrays[5:]), _PairIndex(*arrays[:5]))
 
     def _use(self, spo: _SubjectIndex, pos: _PairIndex) -> None:
         """Query spo and pos from now on, and make from them, on first
@@ -306,9 +290,10 @@ class TripleStore:
     def _current(self) -> tuple[_SubjectIndex, _PairIndex]:
         """Both indexes, with the triples added since they were built."""
         if self._added:
-            added = zip(*self._added)
+            rows = array("i", chain.from_iterable(chain(
+                zip(*self._columns(*self._indexes)), self._added)))
             self._added = set()
-            self._index(*map(chain, self._columns(*self._indexes), added))
+            self._index(rows)
         return self._indexes
 
     # each index, as tests compare them
@@ -411,12 +396,14 @@ class TripleStore:
                     raise ValueError(
                         f"was written with {name} = {found.get(name)!r}, "
                         f"but this process has {name} = {value!r}")
-            for kind, lexical, language, datatype in terms:
+            # each Term replaces its tuple in marshal's list: the two are
+            # never all alive together
+            for i, (kind, lexical, language, datatype) in enumerate(terms):
                 _check_term(kind, lexical, language, datatype)
-            store._terms = [new(Term, (kinds[kind], lexical, language,
-                                       datatype))
-                            for kind, lexical, language, datatype in terms]
-            store._ids = {t: i for i, t in enumerate(store._terms)}
+                terms[i] = new(Term, (kinds[kind], lexical, language,
+                                      datatype))
+            store._terms = terms
+            store._ids = dict(zip(terms, count()))
             arrays = [memoryview(raw).cast("i") for raw in indexes]
             store._use(_SubjectIndex(*arrays[:2]), _PairIndex(*arrays[2:]))
         return store
@@ -583,6 +570,8 @@ _LINE_RE = re.compile(
     rf"(?P<p>{_IRI_PAT})\s+"
     rf"(?P<o>{_IRI_PAT}|{_BNODE_PAT}|{_LITERAL_PAT})\s*\.$")
 _LITERAL_RE = re.compile(_LITERAL_PAT)
+_TOKENS = methodcaller("group", "s", "p", "o")  # a line match's tokens
+_LOAD_LINES = 1024  # lines load_ntriples parses at a time: text it holds
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 # a backslash, then \u and four characters, \U and eight, or one character
@@ -635,38 +624,60 @@ def load_ntriples(source: IO[str] | Iterable[str]
     carrying bytes that were not UTF-8 (see textio), become diagnostics
     (line number + reason), never a fatal error. Each distinct token is
     parsed once, to its term's id or to the reason it is no term; a line
-    reports its first bad token. "A" and "\\u0041" get one id."""
+    reports its first bad token. "A" and "\\u0041" get one id. Lines are
+    read _LOAD_LINES at a time, and each step runs over a whole chunk."""
     store = TripleStore()
     diagnostics: list[Diagnostic] = []
-    token_ids: dict[str, int | str] = {}
+    # each distinct token's term id, or ~k if reasons[k] is why it is none
+    token_ids: dict[str, int] = {}
+    reasons: list[str] = []
     rows = array("i")  # the id triples, one after another
+    lines = iter(source)
 
-    def token_id(token: str) -> int | str:
+    def token_id(token: str) -> int:
         try:
             return store._intern(_parse_term(token))
         except NTriplesError as exc:
-            return str(exc)
+            reasons.append(str(exc))
+            return ~(len(reasons) - 1)
 
     with _no_cycle_collection():
-        for line_no, line in enumerate(source, start=1):
-            stripped = line.strip()
-            if undecodable(line):
-                ids = [NOT_UTF8]
-            elif not stripped or stripped.startswith("#"):
-                continue
-            elif m := _LINE_RE.match(stripped):
-                ids = [token_ids[t] if t in token_ids
-                       else token_ids.setdefault(t, token_id(t))
-                       for t in m.group("s", "p", "o")]
-            else:
-                ids = ["not a valid N-Triples statement"]
-            if str in map(type, ids):
-                reason = next(i for i in ids if type(i) is str)
-                diagnostics.append(Diagnostic(line_no, reason))
-            else:
-                rows.extend(ids)
+        for first in count(1, _LOAD_LINES):  # the chunk's first line number
+            chunk = list(islice(lines, _LOAD_LINES))
+            if not chunk:
+                break
+            found = []  # the chunk's diagnostics
+            stripped = list(map(str.strip, chunk))
+            if not "".join(chunk).isascii():
+                for i in compress(count(), map(undecodable, chunk)):
+                    found.append(Diagnostic(first + i, NOT_UTF8))
+                    stripped[i] = ""  # and no statement
+            matches = list(map(_LINE_RE.match, stripped))
+            numbers: Iterable[int] = range(first, first + len(chunk))
+            if None in matches:
+                found += [Diagnostic(n, "not a valid N-Triples statement")
+                          for n, text, m in zip(numbers, stripped, matches)
+                          if not m and text and text[0] != "#"]
+                numbers = compress(numbers, matches)
+                matches = list(filter(None, matches))
+            tokens = list(chain.from_iterable(map(_TOKENS, matches)))
+            for token in filterfalse(token_ids.__contains__,
+                                     dict.fromkeys(tokens)):  # in order
+                token_ids[token] = token_id(token)
+            ids = array("i", map(token_ids.__getitem__, tokens))
+            if ids and min(ids) < 0:  # some line holds a token that is no term
+                good = array("i")
+                for n, row in zip(numbers, zip(*[iter(ids)] * 3)):
+                    if min(row) < 0:
+                        bad = next(i for i in row if i < 0)  # s, p, o order
+                        found.append(Diagnostic(n, reasons[~bad]))
+                    else:
+                        good.extend(row)
+                ids = good
+            rows.extend(ids)
+            diagnostics += sorted(found)
         token_ids.clear()  # not held while the store is indexed
-        store._index(rows[0::3], rows[1::3], rows[2::3])
+        store._index(rows)
     return store, diagnostics
 
 

@@ -178,13 +178,18 @@ def reference_unescape(body: str) -> str:
     return "".join(out)
 
 
-def reference_load(lines: list[str]) -> tuple[set[Triple], list[Diagnostic]]:
+def reference_load(lines: list[str]
+                   ) -> tuple[set[Triple], list[Diagnostic], list[Term]]:
     """Load N-Triples line by line into a plain set of Term triples, parsing
     every token of every line anew: no token cache and no term ids. A line
     that is not UTF-8, is no statement or holds a bad token is a
-    diagnostic, with the reason of its first bad token in s, p, o order."""
+    diagnostic, with the reason of its first bad token in s, p, o order.
+    Also the terms in the order first seen: every token of a UTF-8
+    statement line that parses, a line with a bad token too, in s, p, o
+    order; a store's term ids follow that order."""
     triples: set[Triple] = set()
     diagnostics: list[Diagnostic] = []
+    terms: dict[Term, None] = {}
     for line_no, line in enumerate(lines, start=1):
         if undecodable(line):
             diagnostics.append(Diagnostic(line_no, NOT_UTF8))
@@ -197,13 +202,19 @@ def reference_load(lines: list[str]) -> tuple[set[Triple], list[Diagnostic]]:
             diagnostics.append(
                 Diagnostic(line_no, "not a valid N-Triples statement"))
             continue
-        try:
-            terms = [_parse_term(m.group(g)) for g in ("s", "p", "o")]
-        except NTriplesError as exc:
-            diagnostics.append(Diagnostic(line_no, str(exc)))
-            continue
-        triples.add(Triple(*terms))
-    return triples, diagnostics
+        parsed: list[Term | NTriplesError] = []
+        for g in ("s", "p", "o"):
+            try:
+                parsed.append(_parse_term(m.group(g)))
+            except NTriplesError as exc:
+                parsed.append(exc)
+        terms.update(dict.fromkeys(t for t in parsed if isinstance(t, Term)))
+        bad = [str(t) for t in parsed if isinstance(t, NTriplesError)]
+        if bad:
+            diagnostics.append(Diagnostic(line_no, bad[0]))
+        else:
+            triples.add(Triple(*parsed))
+    return triples, diagnostics, list(terms)
 
 
 # -- triple scans --------------------------------------------------------------

@@ -616,6 +616,47 @@ def test_build_loads_numpy_and_no_scipy(eight_film_corpus):
     assert proc.stderr.splitlines()[-1] == "['concurrent.futures', 'numpy']"
 
 
+# knnsum.cli.main(sys.argv[1:]) in a fresh interpreter, which then writes
+# OPENBLAS_NUM_THREADS as it was when numpy was first imported ("no numpy"
+# if it never was) and as it is at the end, as the last line of stderr
+_MAIN_THEN_BLAS_SETTING = """
+import os, sys
+from knnsum.cli import main
+seen = ["no numpy"]
+
+class AtNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and seen == ["no numpy"]:
+            seen[0] = os.environ.get("OPENBLAS_NUM_THREADS")
+
+sys.meta_path.insert(0, AtNumpyImport())
+code = main(sys.argv[1:])
+print([seen[0], os.environ.get("OPENBLAS_NUM_THREADS")], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, caller, seen", [
+    # build starts no BLAS threads, unless the caller asked for some
+    (["build"], None, ["1", "1"]), (["build"], "2", ["2", "2"]),
+    # and the lookups, which load no numpy, leave the environment alone
+    (["neighbors", "m1"], None, ["no numpy", None]),
+    (["summarize", "--two-hop", "m1"], None, ["no numpy", None])])
+def test_build_alone_sets_one_blas_thread(eight_film_corpus, command, caller,
+                                          seen):
+    assert build(eight_film_corpus) == 0
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_BLAS_SETTING, command[0],
+         "--config", str(eight_film_corpus.config), *command[1:]],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == repr(seen)
+
+
 # knnsum.cli.main(sys.argv[1:]) in a fresh interpreter with the cycle
 # collector on, which then writes the number of collections started while
 # the command ran (in cli._run) as the last line of stderr. Not counted:

@@ -6,11 +6,13 @@ import re
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knnsum import rdf
 from knnsum.rdf import (RDF_TYPE, Feature, NTriplesError, PathFeature, Term,
                         Triple, TripleStore, _unescape, blank, iri, literal,
                         load_ntriples, term_to_ntriples, write_ntriples)
@@ -182,10 +184,15 @@ documents = st.lists(
 @given(documents, st.data())
 @settings(max_examples=300, deadline=None)
 def test_load_matches_reference_loader(lines, data):
-    store, diags = load_ntriples(lines)
-    triples, want_diags = reference_load(lines)
-    assert set(store) == triples and len(store) == len(triples)
-    assert diags == want_diags
+    triples, want_diags, want_terms = reference_load(lines)
+    # the loader's own chunks, and chunks that end inside the document
+    for chunk in (rdf._LOAD_LINES, 1, 2, 7):
+        with mock.patch.object(rdf, "_LOAD_LINES", chunk):
+            store, diags = load_ntriples(lines)
+        assert set(store) == triples and len(store) == len(triples)
+        assert diags == want_diags
+        # ids in first-sight order, which the snapshot bytes rest on
+        assert store._terms == want_terms
     # ids follow the order of first sight; equality must not
     shuffled = data.draw(st.permutations(lines))
     assert load_ntriples(shuffled)[0] == store
@@ -359,6 +366,21 @@ def test_snapshot_store_holds_no_more_than_a_parsed_one(bench_long_tail_graph):
     finally:
         tracemalloc.stop()
     assert 0 < loaded <= parsed
+
+
+def test_snapshot_load_peaks_little_above_what_it_holds(
+        bench_long_tail_graph):
+    # each Term replaces marshal's tuple of its fields as it is made, so
+    # that the tuples and the Terms are never all alive together
+    data = load_ntriples(bench_long_tail_graph)[0].snapshot()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = TripleStore.from_snapshot(data)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(store) and peak <= 1.15 * held
 
 
 def test_snapshot_allocates_little_beyond_its_bytes(bench_long_tail_graph):
