@@ -473,8 +473,8 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     if matched == 0:
         raise _CommandError("no usage item could be linked to a store entity")
     diagnostics = {
-        "rejected_ratings_lines": [[ln, reason] for ln, reason in ingest.rejected],
-        "malformed_triple_lines": [[ln, reason] for ln, reason in triple_diags],
+        "rejected_ratings_lines": ingest.rejected,
+        "malformed_triple_lines": triple_diags,
         "unmatched_items": unmatched,
         "skipped_links": skipped,
     }
@@ -482,7 +482,7 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
                  store, inputs)
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
-    log.write(f"rejected ratings lines: {ingest.rejected_count}\n")
+    log.write(f"rejected ratings lines: {len(ingest.rejected)}\n")
     log.write(f"triples loaded: {len(store)}\n")
     log.write(f"malformed triple lines: {len(triple_diags)}\n")
     log.write(f"linked items: {matched}/{len(matrix.items)}\n")

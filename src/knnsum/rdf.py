@@ -273,10 +273,10 @@ class TripleStore:
         use, the sets that queries intersect, since a feature is often
         shared by many summarized entities and a subject is the neighbor
         of many: pair j's subjects (_holders[j]); the ids of the (q, t)
-        pairs of s's p-objects, one two-hop path (p, q, t) of s each
-        (_ends[s, p]); and the id of each pair (p, o) by o, which the
-        two-hop supports look up once per intermediate node
-        (_object_pairs[p])."""
+        pairs of s's p-objects, one two-hop path (p, q, t) of s each, for
+        a summarized entity as for a neighbor (_ends[s, p]); and the id of
+        each pair (p, o) by o, which the two-hop supports look up once per
+        intermediate node (_object_pairs[p])."""
         self._indexes = spo, pos
         self._holders = _OnFirstUse(lambda j: frozenset(pos.subjects(j)))
         start, pair = spo
@@ -295,15 +295,6 @@ class TripleStore:
             self._added = set()
             self._index(rows)
         return self._indexes
-
-    # each index, as tests compare them
-    @property
-    def _spo(self) -> _SubjectIndex:
-        return self._current()[0]
-
-    @property
-    def _pos(self) -> _PairIndex:
-        return self._current()[1]
 
     @staticmethod
     def _columns(spo: _SubjectIndex, pos: _PairIndex
@@ -495,15 +486,17 @@ class TripleStore:
         use an excluded predicate.
         """
         (spo, pos), terms = self._current(), self._terms
-        excluded = self._id_set(excluded_predicates)
-        # e's paths by first property p: the (q, t) pairs of its p-objects
+        excluded, i = self._id_set(excluded_predicates), self._id(e)
+        # e's paths by first property p: the (q, t) pairs of its p-objects,
+        # asked of _ends only for a p with a p-object that is a subject
         ends: dict[int, set[int]] = {}
-        for j in spo.pairs(self._id(e)):
-            if pos.p[j] not in excluded:
-                pairs = {k for k in spo.pairs(pos.o[j])
+        for p in dict.fromkeys(pos.p[j] for j in spo.pairs(i)
+                               if spo.pairs(pos.o[j])):
+            if p not in excluded:
+                pairs = {k for k in self._ends[i, p]
                          if pos.p[k] not in excluded}
                 if pairs:
-                    ends.setdefault(pos.p[j], set()).update(pairs)
+                    ends[p] = pairs
         witnesses: dict[tuple[int, int], list[int]] = {}
         for n in self._id_set(neighbors):
             for p, pairs in ends.items():

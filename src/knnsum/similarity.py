@@ -338,7 +338,10 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     bound of the center, ties included, and, given to the later item,
     those that reach its bound. So the pool of kept candidates holds,
     per item, its k best pairs with later items, ties included, and those
-    of its pairs with earlier items that reach its bound. One exact
+    of its pairs with earlier items that reach its bound. Any other bound
+    is 0 until its item's block has run, and final from then on, so with
+    one worker the pool holds no more; with several, a block can read a
+    bound before it is set and keep a few more, never fewer. One exact
     selection under (-score, item id) over that pool makes the lists.
     Threshold mode runs the same blocks and selection with every bound at
     0 and no list cut, so it keeps every pair above tau, for both items.
@@ -360,10 +363,6 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     n_items = len(m.items)
     k = min(k, n_items)  # no list holds more than every other item
     floor = 0.0 if tau is None else max(tau, 0.0)
-    # A lower bound on each item's final k-th score: 0 until its block
-    # has run, then the k-th best of its pairs with later items. The last
-    # block's items have few later items, so theirs is their final k-th
-    # score, from their full rows. In threshold mode every bound stays 0.
     bound = np.zeros(n_items)
     if tau is None:
         last = (n_items - 1) // block_size * block_size
@@ -377,8 +376,6 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
         if tau is None:
             kth = _kth_scores(rows, score, start, stop, k)
             np.maximum(bound[start:stop], kth, out=bound[start:stop])
-        # A bound read before its block ran is 0, so a block order or
-        # worker count can keep more candidates, never fewer.
         mine = score >= bound[rows]
         theirs = score >= bound[cols]
         return (np.concatenate((rows[mine], cols[theirs])),
@@ -388,9 +385,6 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(process_block,
                               reversed(range(0, n_items, block_size))))
-    if tau is None:  # every bound is final now: a candidate below it goes
-        parts = [(c[keep], o[keep], s[keep]) for c, o, s in parts
-                 for keep in (s >= bound[c],)]
     center = np.concatenate([c for c, _o, _s in parts])
     other = np.concatenate([o for _c, o, _s in parts])
     neg = np.concatenate([s for _c, _o, s in parts])

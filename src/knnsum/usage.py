@@ -194,10 +194,6 @@ class IngestResult:
     matrix: UsageMatrix
     rejected: list[Diagnostic]
 
-    @property
-    def rejected_count(self) -> int:
-        return len(self.rejected)
-
 
 def ingest_ratings(source: IO[str] | Iterable[str],
                    fmt: RatingsFormat | None = None) -> IngestResult:

@@ -35,7 +35,7 @@ def test_ingest_rejects_line_missing_item_column():
     src = io.StringIO("u1\ta\nu2\tb\nu3\nu4\tc\n")
     result = ingest_ratings(src, NO_HEADER)
     assert len(result.matrix.items) == 3
-    assert result.rejected_count == 1
+    assert len(result.rejected) == 1
     assert result.rejected[0].line_no == 3
 
 
@@ -45,14 +45,14 @@ def test_ingest_validates_rating_column_presence():
     result = ingest_ratings(src, fmt)
     # rating value is required on the line but never stored
     assert result.matrix.items == ["a"]
-    assert result.rejected_count == 1
+    assert len(result.rejected) == 1
 
 
 def test_ingest_rejects_empty_ids():
     src = io.StringIO("u1\ta\n\tb\nu2\t\n")
     result = ingest_ratings(src, NO_HEADER)
     assert result.matrix.items == ["a"]
-    assert result.rejected_count == 2
+    assert len(result.rejected) == 2
 
 
 @pytest.mark.parametrize("layout, field", [
