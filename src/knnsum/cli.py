@@ -462,16 +462,18 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
         "triples file", cfg.triples, load_ntriples)
     inputs["links"], links = _read_links(cfg)
     matrix = ingest.matrix
-    lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
-                          tau=cfg.threshold)
-    # the knn triples that materialize_knn would add to the store
-    pairs, skipped = store.knn_edges(lists, links, iri(cfg.knn_predicate))
-    knn_added = len(pairs)
     unmatched = [item for item in matrix.items
                  if store.linked_entity(item, links) is None]
     matched = len(matrix.items) - len(unmatched)
-    if matched == 0:
+    if matched == 0:  # refused before the kernel runs
         raise _CommandError("no usage item could be linked to a store entity")
+    lists = all_pairs_knn(matrix, cfg.k, workers=cfg.workers,
+                          tau=cfg.threshold)
+    # the knn triples that materialize_knn would add to the store, counted
+    # and let go: the set is not held while the bundle is written
+    edges, skipped = store.knn_edges(lists, links, iri(cfg.knn_predicate))
+    knn_added = len(edges)
+    del edges
     diagnostics = {
         "rejected_ratings_lines": ingest.rejected,
         "malformed_triple_lines": triple_diags,

@@ -507,29 +507,27 @@ class TripleStore:
 
     def knn_edges(self, lists: Mapping[str, NeighborList],
                   link: Mapping[str, str], predicate: Term
-                  ) -> tuple[list[tuple[Term, Term]], list[str]]:
+                  ) -> tuple[set[tuple[Term, Term]], list[str]]:
         """The (center, neighbor) entity pairs of the lists, by linked_entity,
-        that are no (center, predicate, neighbor) triple yet, each once; and
-        a message per item with no entity. Self-loops, also from two ids of
-        one entity, are dropped."""
-        resolve = cache(partial(self._linked_id, link=link))
-        indexes, knn, terms = self._current(), self._id(predicate), self._terms
-        seen: set[tuple[int, int]] = set()
-        pairs, skipped = [], []
+        that are no (center, predicate, neighbor) triple yet; and a message
+        per item with no entity. Self-loops, also from two ids of one
+        entity, are dropped."""
+        resolve = cache(partial(self.linked_entity, link=link))
+        pairs: set[tuple[Term, Term]] = set()
+        skipped = []
         for center_id in sorted(lists):
             c = resolve(center_id)
-            if c < 0:
+            if c is None:
                 skipped.append(f"center {center_id}: no resolvable entity")
                 continue
-            present = _objects(*indexes, c, knn)
+            present = self.objects_of(c, predicate)
             for neighbor_id, _score in lists[center_id].neighbors:
                 n = resolve(neighbor_id)
-                if n < 0:
+                if n is None:
                     skipped.append(f"neighbor {neighbor_id} of {center_id}: "
                                    "no resolvable entity")
-                elif n != c and n not in present and (c, n) not in seen:
-                    seen.add((c, n))
-                    pairs.append((terms[c], terms[n]))
+                elif n != c and n not in present:
+                    pairs.add((c, n))
         return pairs, skipped
 
     def materialize_knn(self, lists: Mapping[str, NeighborList],
@@ -540,15 +538,11 @@ class TripleStore:
         return MaterializeResult(
             sum(self.add(Triple(c, predicate, n)) for c, n in pairs), skipped)
 
-    def _linked_id(self, item: str, link: Mapping[str, str]) -> int:
-        target = link.get(item)
-        i = -1 if target is None else self._id(iri(target))
-        return i if self._is_subject(i) else -1
-
     def linked_entity(self, item: str, link: Mapping[str, str]) -> Term | None:
         """The entity the link map gives for item, if it is a subject here."""
-        i = self._linked_id(item, link)
-        return self._terms[i] if i >= 0 else None
+        target = link.get(item)
+        i = -1 if target is None else self._id(iri(target))
+        return self._terms[i] if self._is_subject(i) else None
 
 
 # -- N-Triples parsing / serialization -------------------------------------

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
-from knnsum.rdf import (_LINE_RE, RDF_TYPE, Diagnostic, Feature,
-                        NTriplesError, PathFeature, Term, Triple, TripleStore,
-                        _parse_term, iri, literal)
+from knnsum.rdf import (RDF_TYPE, Diagnostic, Feature, NTriplesError,
+                        PathFeature, Term, Triple, TripleStore, iri, literal)
 from knnsum.similarity import NeighborList, similarity_score
 from knnsum.textio import NOT_UTF8, undecodable
 from knnsum.usage import ContingencyTable, UsageMatrix
@@ -178,15 +178,69 @@ def reference_unescape(body: str) -> str:
     return "".join(out)
 
 
+# The N-Triples productions, as the loader takes them: an IRIREF holds any
+# character but < and >; a LANGTAG is letters, then '-'-led letter and digit
+# runs; a string is quoted, any character escaped by a backslash
+_IRIREF = r"<[^<>]*>"
+_BLANK_NODE_LABEL = r"_:[A-Za-z0-9][-A-Za-z0-9_.]*"
+_STRING = r'"(?:\\.|[^"\\])*"'
+_LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_SUBJECT = re.compile(f"{_IRIREF}|{_BLANK_NODE_LABEL}")
+_PREDICATE = re.compile(_IRIREF)
+_OBJECT = re.compile(rf"{_IRIREF}|{_BLANK_NODE_LABEL}"
+                     rf"|{_STRING}(?:{_LANGTAG}|\^\^{_IRIREF})?")
+
+
+def reference_statement(text: str) -> list[str] | None:
+    """The subject, predicate and object tokens of a stripped statement
+    line, read one production at a time: a subject, whitespace, a
+    predicate, whitespace, an object, maybe whitespace, then the final '.';
+    None if the text is no statement."""
+    if not text.endswith("."):
+        return None
+    rest, tokens = text[:-1].rstrip(), []
+    for production in (_SUBJECT, _PREDICATE):
+        m = production.match(rest)
+        if m is None or not rest[m.end():m.end() + 1].isspace():
+            return None
+        tokens.append(m.group())
+        rest = rest[m.end():].lstrip()
+    if _OBJECT.fullmatch(rest) is None:
+        return None
+    return tokens + [rest]
+
+
+def reference_term(token: str) -> Term:
+    """The term a token that matched its production names; NTriplesError
+    with the loader's reason if it names none."""
+    if token[0] == "<":
+        if token == "<>":
+            raise NTriplesError("empty IRI")
+        return Term("iri", token[1:-1])
+    if token[0] == "_":
+        return Term("blank", token[2:])
+    end = 1  # the string's closing quote
+    while token[end] != '"':
+        end += 2 if token[end] == "\\" else 1
+    suffix = token[end + 1:]
+    language = suffix[1:] if suffix[:1] == "@" else None
+    datatype = suffix[3:-1] if suffix[:1] == "^" else None
+    if datatype == "":
+        raise NTriplesError("empty IRI")
+    return Term("literal", reference_unescape(token[1:end]), language,
+                datatype)
+
+
 def reference_load(lines: list[str]
                    ) -> tuple[set[Triple], list[Diagnostic], list[Term]]:
     """Load N-Triples line by line into a plain set of Term triples, parsing
-    every token of every line anew: no token cache and no term ids. A line
-    that is not UTF-8, is no statement or holds a bad token is a
-    diagnostic, with the reason of its first bad token in s, p, o order.
-    Also the terms in the order first seen: every token of a UTF-8
-    statement line that parses, a line with a bad token too, in s, p, o
-    order; a store's term ids follow that order."""
+    every token of every line anew with reference_statement and
+    reference_term: no token cache and no term ids. A line that is not
+    UTF-8, is no statement or holds a bad token is a diagnostic, with the
+    reason of its first bad token in s, p, o order. Also the terms in the
+    order first seen: every token of a UTF-8 statement line that parses, a
+    line with a bad token too, in s, p, o order; a store's term ids follow
+    that order."""
     triples: set[Triple] = set()
     diagnostics: list[Diagnostic] = []
     terms: dict[Term, None] = {}
@@ -197,15 +251,15 @@ def reference_load(lines: list[str]
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        m = _LINE_RE.match(stripped)
-        if m is None:
+        tokens = reference_statement(stripped)
+        if tokens is None:
             diagnostics.append(
                 Diagnostic(line_no, "not a valid N-Triples statement"))
             continue
         parsed: list[Term | NTriplesError] = []
-        for g in ("s", "p", "o"):
+        for token in tokens:
             try:
-                parsed.append(_parse_term(m.group(g)))
+                parsed.append(reference_term(token))
             except NTriplesError as exc:
                 parsed.append(exc)
         terms.update(dict.fromkeys(t for t in parsed if isinstance(t, Term)))

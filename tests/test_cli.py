@@ -106,6 +106,44 @@ def test_build_counts_knn_triples_by_the_materialize_rule(eight_film_corpus,
     assert store.materialize_knn(lists, links, iri(KNN_PRED)).added == 0
 
 
+# materialize_knn on the corpus at sys.argv[1:] (ratings, graph, links) in a
+# fresh interpreter: the triples added, then the snapshot's sha256
+_MATERIALIZE_THEN_SNAPSHOT = """
+import hashlib, sys
+from knnsum.cli import load_links
+from knnsum.rdf import iri, load_ntriples
+from knnsum.similarity import all_pairs_knn
+from knnsum.usage import RatingsFormat, ingest_ratings
+ratings, graph, links = sys.argv[1:]
+with open(ratings) as fh:
+    matrix = ingest_ratings(fh, RatingsFormat(rating_col=2)).matrix
+with open(graph) as fh:
+    store, _ = load_ntriples(fh)
+with open(links) as fh:
+    link = load_links(fh, links)
+result = store.materialize_knn(all_pairs_knn(matrix, 20), link,
+                               iri("urn:knnsum:knn"))
+print(result.added, hashlib.sha256(store.snapshot()).hexdigest())
+"""
+
+
+def test_materialize_knn_does_not_depend_on_the_hash_seed(eight_film_corpus):
+    # knn_edges returns a set of Term pairs, iterated in string-hash order
+    c = eight_film_corpus
+    outputs = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MATERIALIZE_THEN_SNAPSHOT,
+             str(c.ratings), str(c.triples), str(c.links)],
+            capture_output=True, text=True,
+            env={**_child_env(), "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    added = int(outputs.pop().split()[0])
+    assert added == 24  # every in-cluster pair of either cluster, both ways
+
+
 def test_build_k_beyond_item_count_keeps_every_co_rated_item(
         eight_film_corpus, capsys):
     assert build(eight_film_corpus, "--k", "8") == 0  # the item count
@@ -120,6 +158,22 @@ def test_build_zero_matched_links_fails(eight_film_corpus, capsys):
     eight_film_corpus.links.write_text("zz\thttp://example.org/nowhere\n")
     assert build(eight_film_corpus) == 1
     assert "link" in capsys.readouterr().err
+
+
+def test_build_checks_link_coverage_before_the_kernel(eight_film_corpus,
+                                                      capsys, monkeypatch):
+    # every link names an IRI that is no subject of the graph
+    eight_film_corpus.links.write_text("".join(
+        f"{m}\t{EX}nowhere/{m}\n" for m in FILMS))
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("all_pairs_knn ran for an unlinkable corpus")
+    monkeypatch.setattr(knnsum_cli, "all_pairs_knn", kernel)
+    assert build(eight_film_corpus) == 1
+    assert capsys.readouterr().err == (
+        "error: no usage item could be linked to a store entity\n")
+    assert not eight_film_corpus.bundle.exists()
+    assert not snapshot_of(eight_film_corpus).exists()
 
 
 @pytest.mark.parametrize("ratings, rejected", [

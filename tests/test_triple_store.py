@@ -564,6 +564,19 @@ def test_materialize_counts_distinct_edges():
     assert len(store.objects_of(iri(link["i0"]), KNN)) == 20
 
 
+def test_knn_edges_are_the_pairs_materialize_adds():
+    store, link = make_entities(4)
+    first, second = iri(link["i0"]), iri(link["i1"])
+    store.add(Triple(first, KNN, second))  # already in the graph
+    lists = {i: NeighborList(i, [(j, 0.5) for j in link if j != i])
+             for i in link}
+    edges, skipped = store.knn_edges(lists, link, KNN)
+    assert not skipped and len(edges) == 11
+    assert store.materialize_knn(lists, link, KNN).added == 11
+    assert {(t.subject, t.object) for t in store
+            if t.predicate == KNN} == edges | {(first, second)}
+
+
 def test_materialize_collapses_duplicate_identifiers():
     store, link = make_entities(21)
     link["i20"] = link["i1"]  # two item ids, one entity
