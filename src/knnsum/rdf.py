@@ -203,18 +203,6 @@ def _objects(spo: _SubjectIndex, pos: _PairIndex, s: int, p: int
     return [pos.o[j] for j in spo.pair[lo:hi]]
 
 
-class _OnFirstUse(dict):
-    """A mapping that makes each value with make(key) on its first use."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 class MaterializeResult(NamedTuple):
     added: int
     skipped: list[str]
@@ -272,18 +260,18 @@ class TripleStore:
         """Query spo and pos from now on, and make from them, on first
         use, the sets that queries intersect, since a feature is often
         shared by many summarized entities and a subject is the neighbor
-        of many: pair j's subjects (_holders[j]); the ids of the (q, t)
+        of many: pair j's subjects (_holders(j)); the ids of the (q, t)
         pairs of s's p-objects, one two-hop path (p, q, t) of s each, for
-        a summarized entity as for a neighbor (_ends[s, p]); and the id of
+        a summarized entity as for a neighbor (_ends(s, p)); and the id of
         each pair (p, o) by o, which the two-hop supports look up once per
-        intermediate node (_object_pairs[p])."""
+        intermediate node (_object_pairs(p))."""
         self._indexes = spo, pos
-        self._holders = _OnFirstUse(lambda j: frozenset(pos.subjects(j)))
+        self._holders = cache(lambda j: frozenset(pos.subjects(j)))
         start, pair = spo
-        self._ends = _OnFirstUse(lambda sp: frozenset(chain.from_iterable(
+        self._ends = cache(lambda s, p: frozenset(chain.from_iterable(
             pair[start[mid]:start[mid + 1]]
-            for mid in _objects(spo, pos, *sp))))
-        self._object_pairs = _OnFirstUse(lambda p: dict(zip(
+            for mid in _objects(spo, pos, s, p))))
+        self._object_pairs = cache(lambda p: dict(zip(
             pos.o[pos.start[p]:pos.start[p + 1]],
             range(pos.start[p], pos.start[p + 1]))))
 
@@ -442,9 +430,9 @@ class TripleStore:
         def global_support(f: Feature | PathFeature) -> int:
             pos = self._current()[1]
             if isinstance(f, Feature):
-                return len(members.intersection(self._holders[
-                    pos.find(id_of(f.property), id_of(f.value))]))
-            parent_pairs = self._object_pairs[id_of(f.first)]
+                return len(members.intersection(self._holders(
+                    pos.find(id_of(f.property), id_of(f.value)))))
+            parent_pairs = self._object_pairs(id_of(f.first))
             rows, subjects = pos.rows, pos.s
             holders: set[int] = set()
             for mid in pos.subjects(pos.find(id_of(f.second),
@@ -469,7 +457,7 @@ class TripleStore:
             # of a long-tail film, whose holder sets are never made
             if pos.p[j] not in excluded and (rows[j + 1] - rows[j] > 1
                                              or i in nbrs):
-                witnesses = nbrs.intersection(self._holders[j])
+                witnesses = nbrs.intersection(self._holders(j))
                 if witnesses:
                     out[Feature(terms[pos.p[j]], terms[pos.o[j]])] = (
                         self._term_set(witnesses))
@@ -493,14 +481,14 @@ class TripleStore:
         for p in dict.fromkeys(pos.p[j] for j in spo.pairs(i)
                                if spo.pairs(pos.o[j])):
             if p not in excluded:
-                pairs = {k for k in self._ends[i, p]
+                pairs = {k for k in self._ends(i, p)
                          if pos.p[k] not in excluded}
                 if pairs:
                     ends[p] = pairs
         witnesses: dict[tuple[int, int], list[int]] = {}
         for n in self._id_set(neighbors):
             for p, pairs in ends.items():
-                for k in pairs.intersection(self._ends[n, p]):
+                for k in pairs.intersection(self._ends(n, p)):
                     witnesses.setdefault((p, k), []).append(n)
         return {PathFeature(terms[p], terms[pos.p[k]], terms[pos.o[k]]):
                 self._term_set(ws) for (p, k), ws in witnesses.items()}

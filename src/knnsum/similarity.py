@@ -261,22 +261,20 @@ class _Kernel:
             keep &= cols != rows
         return rows[keep], cols[keep], score[keep]
 
-    def one(self, e: str, k: int | None, tau: float | None) -> NeighborList:
-        """e's neighbor list from its full row of the gram: the k best
-        scores, or with tau set every score above tau, ordered by
-        (-score, item id)."""
+    def one(self, e: str, cap: int, floor: float) -> NeighborList:
+        """e's neighbor list from its full row of the gram: its best cap
+        scores above floor, ordered by (-score, item id)."""
         import numpy as np
 
         try:
             i = self.m.item_index[e]
         except KeyError:
             raise UnknownItemError(f"unknown item id: {e!r}") from None
-        _rows, cols, score = self.pairs(
-            i, i + 1, 0.0 if tau is None else max(tau, 0.0), later=False)
-        if k is not None and len(score) > k:  # the k best and their ties
-            keep = score >= np.partition(score, len(score) - k)[-k]
+        _rows, cols, score = self.pairs(i, i + 1, floor, later=False)
+        if len(score) > cap:  # the cap best and their ties
+            keep = score >= np.partition(score, len(score) - cap)[-cap]
             cols, score = cols[keep], score[keep]
-        order = np.lexsort((cols, -score))[:k]
+        order = np.lexsort((cols, -score))[:cap]
         items = self.m.items
         return NeighborList(e, list(zip(
             [items[j] for j in cols[order].tolist()], score[order].tolist())))
@@ -309,12 +307,12 @@ def k_nearest_neighbors(m: UsageMatrix, e: str, k: int = DEFAULT_K) -> NeighborL
     """Up to k most similar items to e, zero-score items excluded."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _Kernel(m).one(e, k, None)
+    return _Kernel(m).one(e, k, 0.0)
 
 
 def neighbors_above_threshold(m: UsageMatrix, e: str, tau: float) -> NeighborList:
     """All items with similarity to e strictly above tau, no cardinality cap."""
-    return _Kernel(m).one(e, None, tau)
+    return _Kernel(m).one(e, len(m.items), max(tau, 0.0))
 
 
 def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
@@ -324,27 +322,28 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
 
     Without tau, each list holds the k most similar items; with tau, every
     item whose similarity is strictly above tau, uncapped (k is then
-    unused). Each pair of items that share a rater is scored once, by the
+    unused): its best cap items above a floor, (k, 0) or (the item count,
+    tau). Each pair of items that share a rater is scored once, by the
     block of block_size centers that holds the first of the two, and the
     score goes to both items' lists. Blocks run last to first on up to
     `workers` threads. A block's temporaries hold one entry per center
     and later co-rated item, so block_size bounds the memory each thread
     uses at once.
 
-    In fixed-k mode the k-th best score of a center's pairs with later
-    items is a lower bound on its final k-th score; for the last block's
-    centers, which have few later items, the bound is their final k-th
-    score, from their full rows. A block keeps the pairs that reach the
-    bound of the center, ties included, and, given to the later item,
-    those that reach its bound. So the pool of kept candidates holds,
-    per item, its k best pairs with later items, ties included, and those
-    of its pairs with earlier items that reach its bound. Any other bound
+    The cap-th best score of a center's pairs with later items is a lower
+    bound on its final cap-th score; for the last block's centers, which
+    have few later items, the bound is their final cap-th score, from
+    their full rows. A block keeps the pairs that reach the bound of the
+    center, ties included, and, given to the later item, those that reach
+    its bound. So the pool of kept candidates holds, per item, its cap
+    best pairs with later items, ties included, and those of its pairs
+    with earlier items that reach its bound. Any other bound
     is 0 until its item's block has run, and final from then on, so with
     one worker the pool holds no more; with several, a block can read a
     bound before it is set and keep a few more, never fewer. One exact
     selection under (-score, item id) over that pool makes the lists.
-    Threshold mode runs the same blocks and selection with every bound at
-    0 and no list cut, so it keeps every pair above tau, for both items.
+    No item has as many neighbors as the item count, so under that cap
+    every bound stays 0 and every pair above tau is kept, for both items.
     Each score equals similarity_score of the pair's contingency table bit
     for bit, and the lists are the same whatever the block size and worker
     count.
@@ -361,21 +360,21 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
         return {}
     kernel = _Kernel(m)
     n_items = len(m.items)
-    k = min(k, n_items)  # no list holds more than every other item
-    floor = 0.0 if tau is None else max(tau, 0.0)
+    # no list holds more than every other item, so a cap of n_items cuts none
+    cap, floor = ((min(k, n_items), 0.0) if tau is None
+                  else (n_items, max(tau, 0.0)))
     bound = np.zeros(n_items)
-    if tau is None:
+    if cap < n_items:
         last = (n_items - 1) // block_size * block_size
-        rows, _cols, score = kernel.pairs(last, n_items, 0.0, later=False)
-        bound[last:] = _kth_scores(rows, score, last, n_items, k)
+        rows, _cols, score = kernel.pairs(last, n_items, floor, later=False)
+        bound[last:] = _kth_scores(rows, score, last, n_items, cap)
         del rows, _cols, score
 
     def process_block(start: int) -> tuple[np.ndarray, ...]:
         stop = min(start + block_size, n_items)
         rows, cols, score = kernel.pairs(start, stop, floor, later=True)
-        if tau is None:
-            kth = _kth_scores(rows, score, start, stop, k)
-            np.maximum(bound[start:stop], kth, out=bound[start:stop])
+        kth = _kth_scores(rows, score, start, stop, cap)
+        np.maximum(bound[start:stop], kth, out=bound[start:stop])
         mine = score >= bound[rows]
         theirs = score >= bound[cols]
         return (np.concatenate((rows[mine], cols[theirs])),
@@ -393,8 +392,8 @@ def all_pairs_knn(m: UsageMatrix, k: int = DEFAULT_K, workers: int = 1,
     per_item = np.bincount(center, minlength=n_items)
     order = np.lexsort((other, neg, center))
     del center
-    # each item's first k of its run in order; with tau, the whole run
-    kept = np.minimum(per_item, k if tau is None else n_items)
+    # each item's first cap of its run in order
+    kept = np.minimum(per_item, cap)
     firsts = np.cumsum(per_item) - per_item
     starts = np.cumsum(kept) - kept
     order = order[np.repeat(firsts - starts, kept) + np.arange(kept.sum())]

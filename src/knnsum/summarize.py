@@ -117,7 +117,7 @@ class SummaryContext:
     shares, built once: the typed universe, the items with usage data (those
     with a list), the reverse link index, each item's linked entity
     (resolved on first use), each feature's global support (counted on
-    first use) and the knn predicate its summaries exclude from features."""
+    first use), and the knn predicate and type filter it was built with."""
 
     def __init__(self, store: TripleStore, lists: Mapping[str, NeighborList],
                  link: Mapping[str, str], knn_predicate: Term,
@@ -127,7 +127,7 @@ class SummaryContext:
         self.linked_item = reverse_links(link, self.items)
         self.linked_entity = cache(partial(store.linked_entity, link=link))
         self.support = store.support_counter(self.universe)
-        self.knn_predicate = knn_predicate
+        self.knn_predicate, self.type_filter = knn_predicate, type_filter
 
 
 def _resolve_target(e: str, link: Mapping[str, str], store: TripleStore,
@@ -158,13 +158,19 @@ def summarize(store: TripleStore, lists: Mapping[str, NeighborList],
     all_pairs_knn(m, k) or all_pairs_knn(m, tau=tau) computes it; k and tau
     only label the summary. A caller summarizing many entities builds one
     SummaryContext from the same store, lists, link map and predicates and
-    passes it to every call.
+    passes it to every call; a context built with another knn_predicate or
+    type_filter is a ValueError naming the field.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if context is None:
         context = SummaryContext(store, lists, link, knn_predicate,
                                  type_filter)
+    for name, value in (("knn_predicate", knn_predicate),
+                        ("type_filter", type_filter)):
+        if getattr(context, name) != value:
+            raise ValueError(f"{name} {value.lexical!r} is not the context's "
+                             f"{getattr(context, name).lexical!r}")
     item_id, entity = _resolve_target(e, link, store, context)
     if entity not in context.universe:
         raise ResolutionError(
@@ -176,5 +182,5 @@ def summarize(store: TripleStore, lists: Mapping[str, NeighborList],
     linked = {context.linked_entity(item)
               for item, _score in lists[item_id].neighbors}
     weighted = _weigh(store, entity, linked, context.universe, context.support,
-                      context.knn_predicate, two_hop)
+                      knn_predicate, two_hop)
     return Summary(entity, k, weighted[:n], STATUS_OK, mode)

@@ -19,7 +19,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knnsum.cli import main
@@ -120,6 +120,9 @@ def _expected_summary(triples, links, lists, subjects, universe, entity,
        tau=st.sampled_from([None, None, 0.3, 0.6, 0.9]),
        two_hop=st.booleans(), n=st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
+# logs with no rating at all, which build refuses before it links anything
+@example(seed=176, k=1, tau=None, two_hop=False, n=1)
+@example(seed=1113, k=1, tau=None, two_hop=False, n=1)
 def test_cli_outputs_equal_the_oracles(seed, k, tau, two_hop, n):
     pairs, triples, items, links = _scenario(random.Random(seed))
     matrix = UsageMatrix(pairs)
@@ -141,6 +144,12 @@ def test_cli_outputs_equal_the_oracles(seed, k, tau, two_hop, n):
                          **({} if tau is None else {"threshold": tau})})
         cfg = ["--config", str(config)]
         code, out, err = _run("build", *cfg)
+        if not matrix.items:  # the ratings file is refused first
+            ratings = str(Path(tmp) / "ratings.tsv")
+            assert (code, err) == (1, f"error: no ratings line of "
+                                      f"{ratings!r} was accepted "
+                                      "(0 rejected)\n")
+            return
         linked = [item for item in matrix.items if entity_of(item)]
         if not linked:
             assert (code, err) == (1, "error: no usage item could be linked "

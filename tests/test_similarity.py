@@ -285,6 +285,22 @@ def test_kernel_equals_oracle_bit_for_bit(pairs, k, tau):
         assert neighbors_above_threshold(m, e, tau).neighbors == want_tau[e]
 
 
+@given(usage_logs())
+@settings(max_examples=60, deadline=None)
+def test_threshold_zero_is_a_cap_of_every_item(pairs):
+    # threshold mode is fixed-k with a cap no list reaches: at tau = 0 the
+    # two modes must agree, whatever the blocks and workers
+    m = UsageMatrix(pairs)
+    n = max(len(m.items), 1)  # k must be >= 1, also for no items
+    for block_size, workers in product((1, 7, 64), (1, 2)):
+        options = dict(block_size=block_size, workers=workers)
+        assert all_pairs_knn(m, tau=0.0, **options) == all_pairs_knn(
+            m, n, **options)
+    for e in m.items:
+        assert (neighbors_above_threshold(m, e, 0.0)
+                == k_nearest_neighbors(m, e, n))
+
+
 @given(usage_logs(), st.booleans(), st.sampled_from((1, 7, 64)),
        st.sampled_from((1, 4, similarity._CHUNK_ENTRIES)),
        st.sampled_from((0, similarity._SPARSE_RATIO, 10**9)))

@@ -292,6 +292,19 @@ def test_summarize_with_a_context_equals_without():
     assert summarize(store, lists, links, "m9", **kw).status == STATUS_NO_USAGE
 
 
+@pytest.mark.parametrize("field", ["knn_predicate", "type_filter"])
+def test_summarize_refuses_a_context_built_with_other_settings(field):
+    # the context's predicate and filter decide the summary, so one that
+    # disagrees with the call's arguments must not be used silently
+    store, matrix, links = build_world()
+    lists = all_pairs_knn(matrix, 20)
+    context = SummaryContext(store, lists, links, KNN_TERM, FILM_TERM)
+    kw = dict(knn_predicate=KNN_TERM, type_filter=FILM_TERM)
+    kw[field] = iri(EX + "other")
+    with pytest.raises(ValueError, match=field):
+        summarize(store, lists, links, "m1", context=context, **kw)
+
+
 # -- two-hop composites -------------------------------------------------------------
 
 def two_hop_world():
