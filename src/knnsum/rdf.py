@@ -528,8 +528,8 @@ class TripleStore:
 
     def linked_entity(self, item: str, link: Mapping[str, str]) -> Term | None:
         """The entity the link map gives for item, if it is a subject here."""
-        target = link.get(item)
-        i = -1 if target is None else self._id(iri(target))
+        # iri(target)'s fields as a key: a None or "" target is not found
+        i = self._id((IRI, link.get(item), None, None))
         return self._terms[i] if self._is_subject(i) else None
 
 

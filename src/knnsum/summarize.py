@@ -113,36 +113,22 @@ def reverse_links(link: Mapping[str, str],
 
 
 class SummaryContext:
-    """What every summary over one store, link map and set of neighbor lists
-    shares, built once: the typed universe, the items with usage data (those
-    with a list), the reverse link index, each item's linked entity
-    (resolved on first use), each feature's global support (counted on
-    first use), and the knn predicate and type filter it was built with."""
+    """A summary's five inputs (store, lists: the items with usage data,
+    link map, knn predicate, type filter) and what summaries over them
+    share, built once: the typed universe, the reverse link index, each
+    item's linked entity (resolved on first use) and each feature's global
+    support (counted on first use). summarize refuses an argument that is
+    neither the context's own input nor equal to it, naming the field."""
 
     def __init__(self, store: TripleStore, lists: Mapping[str, NeighborList],
                  link: Mapping[str, str], knn_predicate: Term,
                  type_filter: Term):
+        self.store, self.lists, self.link = store, lists, link
+        self.knn_predicate, self.type_filter = knn_predicate, type_filter
         self.universe = entity_universe(store, type_filter)
-        self.items = lists
-        self.linked_item = reverse_links(link, self.items)
+        self.linked_item = reverse_links(link, lists)
         self.linked_entity = cache(partial(store.linked_entity, link=link))
         self.support = store.support_counter(self.universe)
-        self.knn_predicate, self.type_filter = knn_predicate, type_filter
-
-
-def _resolve_target(e: str, link: Mapping[str, str], store: TripleStore,
-                    context: SummaryContext) -> tuple[str | None, Term]:
-    """Map an item id or entity IRI onto (item id with usage data, entity)."""
-    if e in link:
-        entity = context.linked_entity(e)
-        if entity is None:
-            raise ResolutionError(
-                f"link map: item {e!r} maps to {link[e]!r}, not in the store")
-        return (e if e in context.items else None), entity
-    if not e or not store.has_subject(entity := iri(e)):
-        raise ResolutionError(f"link map: unknown item id or entity iri: {e!r}")
-    # entity iri given directly: its smallest linked item with usage data
-    return context.linked_item.get(e), entity
 
 
 def summarize(store: TripleStore, lists: Mapping[str, NeighborList],
@@ -157,21 +143,34 @@ def summarize(store: TripleStore, lists: Mapping[str, NeighborList],
     lists maps each item with usage data to its neighbor list, as
     all_pairs_knn(m, k) or all_pairs_knn(m, tau=tau) computes it; k and tau
     only label the summary. A caller summarizing many entities builds one
-    SummaryContext from the same store, lists, link map and predicates and
-    passes it to every call; a context built with another knn_predicate or
-    type_filter is a ValueError naming the field.
+    SummaryContext from the same five inputs and passes it to every call,
+    which reads them from it: an argument that is neither the context's own
+    nor equal to it is a ValueError naming the field. An item whose link
+    target (an empty one included) is no store subject is a ResolutionError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if context is None:
         context = SummaryContext(store, lists, link, knn_predicate,
                                  type_filter)
-    for name, value in (("knn_predicate", knn_predicate),
+    for name, value in (("store", store), ("lists", lists), ("link", link),
+                        ("knn_predicate", knn_predicate),
                         ("type_filter", type_filter)):
-        if getattr(context, name) != value:
-            raise ValueError(f"{name} {value.lexical!r} is not the context's "
-                             f"{getattr(context, name).lexical!r}")
-    item_id, entity = _resolve_target(e, link, store, context)
+        own = getattr(context, name)
+        # identity first: an equal store is compared triple by triple
+        if value is not own and value != own:
+            raise ValueError(f"{name} differs from the context's")
+    if e in context.link:
+        entity = context.linked_entity(e)
+        if entity is None:
+            raise ResolutionError(f"link map: item {e!r} maps to "
+                                  f"{context.link[e]!r}, not in the store")
+        item_id = e if e in context.lists else None
+    elif e and context.store.has_subject(entity := iri(e)):
+        # entity iri given directly: its smallest linked item with usage data
+        item_id = context.linked_item.get(e)
+    else:
+        raise ResolutionError(f"link map: unknown item id or entity iri: {e!r}")
     if entity not in context.universe:
         raise ResolutionError(
             f"type filter: entity {entity.lexical!r} lacks rdf:type "
@@ -180,7 +179,7 @@ def summarize(store: TripleStore, lists: Mapping[str, NeighborList],
     if item_id is None:
         return Summary(entity, k, [], STATUS_NO_USAGE, mode)
     linked = {context.linked_entity(item)
-              for item, _score in lists[item_id].neighbors}
-    weighted = _weigh(store, entity, linked, context.universe, context.support,
-                      knn_predicate, two_hop)
+              for item, _score in context.lists[item_id].neighbors}
+    weighted = _weigh(context.store, entity, linked, context.universe,
+                      context.support, knn_predicate, two_hop)
     return Summary(entity, k, weighted[:n], STATUS_OK, mode)

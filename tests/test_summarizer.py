@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -289,20 +290,41 @@ def test_summarize_with_a_context_equals_without():
     for e in [*sorted(links), film_iri("m2")]:
         want = summarize(store, lists, links, e, **kw)
         assert summarize(store, lists, links, e, context=context, **kw) == want
+        # equal copies of the context's inputs give the same summaries
+        assert summarize(store, dict(lists), dict(links), e, context=context,
+                         **kw) == want
     assert summarize(store, lists, links, "m9", **kw).status == STATUS_NO_USAGE
 
 
-@pytest.mark.parametrize("field", ["knn_predicate", "type_filter"])
+@pytest.mark.parametrize("field", ["store", "lists", "link", "knn_predicate",
+                                   "type_filter"])
 def test_summarize_refuses_a_context_built_with_other_settings(field):
-    # the context's predicate and filter decide the summary, so one that
-    # disagrees with the call's arguments must not be used silently
+    # the context's inputs decide the summary, so one that disagrees with
+    # the call's arguments must not be used silently
     store, matrix, links = build_world()
     lists = all_pairs_knn(matrix, 20)
     context = SummaryContext(store, lists, links, KNN_TERM, FILM_TERM)
-    kw = dict(knn_predicate=KNN_TERM, type_filter=FILM_TERM)
-    kw[field] = iri(EX + "other")
-    with pytest.raises(ValueError, match=field):
-        summarize(store, lists, links, "m1", context=context, **kw)
+    args = dict(store=store, lists=lists, link=links, knn_predicate=KNN_TERM,
+                type_filter=FILM_TERM)
+    args[field] = {
+        "store": TripleStore(eight_film_triples()[1:]),
+        "lists": {i: nl for i, nl in lists.items() if i != "m2"},
+        "link": {**links, "m1": film_iri("m5")},
+        "knn_predicate": iri(EX + "other"),
+        "type_filter": iri(EX + "other"),
+    }[field]
+    with pytest.raises(ValueError, match=f"^{field} differs"):
+        summarize(e="m1", context=context, **args)
+
+
+@pytest.mark.parametrize("target", ["", EX + "film/nowhere"])
+def test_summarize_item_linked_outside_the_store_is_unresolvable(target):
+    store, matrix, links = build_world()
+    links["m1"] = target
+    with pytest.raises(ResolutionError,
+                       match=re.escape(f"maps to {target!r}, not in the store")):
+        summarize(store, all_pairs_knn(matrix, 20), links, "m1",
+                  knn_predicate=KNN_TERM, type_filter=FILM_TERM)
 
 
 # -- two-hop composites -------------------------------------------------------------

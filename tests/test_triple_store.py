@@ -550,8 +550,10 @@ def make_entities(n):
 def test_linked_entity_needs_a_link_to_a_subject():
     store, link = make_entities(2)
     link["dangling"] = "http://x/nowhere"
+    link["empty"] = ""
     assert store.linked_entity("unlinked", link) is None
     assert store.linked_entity("dangling", link) is None
+    assert store.linked_entity("empty", link) is None
     assert store.linked_entity("i1", link) == iri("http://x/e1")
 
 
