@@ -126,7 +126,8 @@ def _config_value(key: str, value: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; # starts a comment; blank lines ignored."""
+    """Flat ``key = value`` lines; # starts a comment; blank lines ignored.
+    A key set again to another value is refused, as a relinked item is."""
     values: dict = {}
     _data, text = read_text(path)
     with text as fh:
@@ -143,9 +144,12 @@ def parse_config_file(path: str) -> dict:
             if key not in _SETTING_TYPES:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
             try:
-                values[key] = _config_value(key, value.strip())
+                converted = _config_value(key, value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+            if values.setdefault(key, converted) != converted:
+                raise ValueError(f"{path}:{line_no}: key {key!r} is already "
+                                 f"set to {values[key]!r}")
     return values
 
 

@@ -444,19 +444,17 @@ class TripleStore:
         return global_support
 
     def shared_features(self, e: Term, neighbors: Iterable[Term],
-                        excluded_predicates: Iterable[Term] = ()
-                        ) -> dict[Feature, set[Term]]:
-        """Features of e held by at least one of the given neighbors."""
+                        knn_predicate: Term) -> dict[Feature, set[Term]]:
+        """Features of e held by at least one of the given neighbors; no
+        knn_predicate pair is a feature."""
         (spo, pos), terms = self._current(), self._terms
-        excluded, nbrs = (self._id_set(excluded_predicates),
-                          self._id_set(neighbors))
+        knn, nbrs = self._id(knn_predicate), self._id_set(neighbors)
         i, rows = self._id(e), pos.rows
         out: dict[Feature, set[Term]] = {}
         for j in spo.pairs(i):
             # a pair that e alone holds has no other witness: half the pairs
             # of a long-tail film, whose holder sets are never made
-            if pos.p[j] not in excluded and (rows[j + 1] - rows[j] > 1
-                                             or i in nbrs):
+            if pos.p[j] != knn and (rows[j + 1] - rows[j] > 1 or i in nbrs):
                 witnesses = nbrs.intersection(self._holders(j))
                 if witnesses:
                     out[Feature(terms[pos.p[j]], terms[pos.o[j]])] = (
@@ -464,25 +462,24 @@ class TripleStore:
         return out
 
     def shared_two_hop_paths(self, e: Term, neighbors: Iterable[Term],
-                             excluded_predicates: Iterable[Term] = ()
+                             knn_predicate: Term
                              ) -> dict[PathFeature, set[Term]]:
         """Two-hop composites of e held by at least one of the neighbors.
 
         A neighbor holds (p, q, t) when one of its p-objects has the pair
         (q, t), as support_counter counts it: the intermediate nodes are free
         on both sides and are never required to coincide. Neither hop may
-        use an excluded predicate.
+        use knn_predicate.
         """
         (spo, pos), terms = self._current(), self._terms
-        excluded, i = self._id_set(excluded_predicates), self._id(e)
+        knn, i = self._id(knn_predicate), self._id(e)
         # e's paths by first property p: the (q, t) pairs of its p-objects,
         # asked of _ends only for a p with a p-object that is a subject
         ends: dict[int, set[int]] = {}
         for p in dict.fromkeys(pos.p[j] for j in spo.pairs(i)
                                if spo.pairs(pos.o[j])):
-            if p not in excluded:
-                pairs = {k for k in self._ends(i, p)
-                         if pos.p[k] not in excluded}
+            if p != knn:
+                pairs = {k for k in self._ends(i, p) if pos.p[k] != knn}
                 if pairs:
                     ends[p] = pairs
         witnesses: dict[tuple[int, int], list[int]] = {}

@@ -75,11 +75,10 @@ def _weigh(store: TripleStore, e: Term, candidates: set[Term | None],
     hop.
     """
     neighbors = (candidates & universe) - {e}
-    excluded = (knn_predicate,)
     if two_hop:
-        witnesses = store.shared_two_hop_paths(e, neighbors, excluded)
+        witnesses = store.shared_two_hop_paths(e, neighbors, knn_predicate)
     else:
-        witnesses = store.shared_features(e, neighbors, excluded)
+        witnesses = store.shared_features(e, neighbors, knn_predicate)
     size = len(universe)
     out = []
     for f, ws in witnesses.items():

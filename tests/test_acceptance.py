@@ -173,7 +173,7 @@ def test_criterion_8_two_hop_oracle_equivalence():
         typed = entity_universe(store, FILM)
         for e in sorted(typed, key=lambda t: t.lexical):
             neighbors = (store.objects_of(e, KNN) & typed) - {e}
-            assert store.shared_two_hop_paths(e, neighbors, (KNN,)) == \
+            assert store.shared_two_hop_paths(e, neighbors, KNN) == \
                 brute_two_hop(triples, e, KNN, FILM)
             checked += 1
     elapsed = time.perf_counter() - start

@@ -350,6 +350,8 @@ def test_usage_errors_are_input_errors(eight_film_corpus, capsys, argv,
 
 
 def test_flags_override_config(eight_film_corpus, capsys):
+    with eight_film_corpus.config.open("a") as fh:
+        fh.write("n = 3\nn = 3\n")  # a key set twice alike is no conflict
     build(eight_film_corpus)
     capsys.readouterr()
     assert main(["summarize", "--config", str(eight_film_corpus.config),
@@ -360,6 +362,12 @@ def test_flags_override_config(eight_film_corpus, capsys):
 
 def test_invalid_threshold_rejected(eight_film_corpus, capsys):
     assert build(eight_film_corpus, "--threshold", "1.5") == 1
+
+
+def _config_lines_without(config: Path, key: str) -> list[str]:
+    """The config file's lines, less any that sets key."""
+    return [line for line in config.read_text().splitlines(True)
+            if line.partition("=")[0].strip() != key]
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -389,8 +397,11 @@ def test_invalid_config_value_rejected(eight_film_corpus, capsys, command,
     if via == "flag":
         args += [f"--{key.replace('_', '-')}", value]
     else:
-        with eight_film_corpus.config.open("a") as fh:
-            fh.write(f"{key} = {value}\n")
+        # the value replaces the corpus's own line for the key, if any: a
+        # second line would be refused as a repeat, and the value unchecked
+        config = eight_film_corpus.config
+        config.write_text("".join(_config_lines_without(config, key))
+                          + f"{key} = {value}\n")
     if command != "build":
         args.append("m1")
     capsys.readouterr()
@@ -511,6 +522,27 @@ def test_bad_config_value_names_file_line_and_key(eight_film_corpus, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}:{line_no}: {key}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, first, second, refused", [
+    ("k", "5", "20", "key 'k' is already set to 5"),
+    ("type_filter", "http://x/A", "http://x/B",
+     "key 'type_filter' is already set to 'http://x/A'"),
+    # the same value, however spelled, is no conflict
+    ("header", "yes", "true", None),
+    ("k", "5", "05", None)])
+def test_config_key_set_twice_to_another_value_is_refused(
+        eight_film_corpus, capsys, key, first, second, refused):
+    config = eight_film_corpus.config
+    kept = _config_lines_without(config, key)
+    config.write_text("".join(kept) + f"{key} = {first}\n{key} = {second}\n")
+    code = build(eight_film_corpus)
+    captured = capsys.readouterr()
+    if refused is None:
+        assert code == 0
+    else:
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {config}:{len(kept) + 2}: {refused}\n"
 
 
 def test_non_utf8_config_file_is_refused(eight_film_corpus, capsys):

@@ -287,12 +287,15 @@ def test_summarize_with_a_context_equals_without():
     lists = all_pairs_knn(matrix, 20)
     context = SummaryContext(store, lists, links, KNN_TERM, FILM_TERM)
     kw = dict(knn_predicate=KNN_TERM, type_filter=FILM_TERM)
+    store_copy = TripleStore(store)
     for e in [*sorted(links), film_iri("m2")]:
         want = summarize(store, lists, links, e, **kw)
         assert summarize(store, lists, links, e, context=context, **kw) == want
         # equal copies of the context's inputs give the same summaries
         assert summarize(store, dict(lists), dict(links), e, context=context,
                          **kw) == want
+        assert summarize(store_copy, dict(lists), dict(links), e,
+                         context=context, **kw) == want
     assert summarize(store, lists, links, "m9", **kw).status == STATUS_NO_USAGE
 
 

@@ -37,12 +37,12 @@ def knn_neighbors(store, e):
 
 def shared_one_hop(store, e):
     """Features of e shared with its typed knn neighbors, with witnesses."""
-    return store.shared_features(e, knn_neighbors(store, e), (KNN,))
+    return store.shared_features(e, knn_neighbors(store, e), KNN)
 
 
 def shared_two_hop(store, e):
     """Two-hop composites of e matched by its typed knn neighbors."""
-    return store.shared_two_hop_paths(e, knn_neighbors(store, e), (KNN,))
+    return store.shared_two_hop_paths(e, knn_neighbors(store, e), KNN)
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -537,6 +537,14 @@ def test_shared_two_hop_matches_brute_force_on_random_stores():
         for e in universe + universe:
             assert shared_two_hop(store, e) == \
                 brute_two_hop(triples, e, KNN, FILM)
+
+
+@pytest.mark.parametrize("query", ["shared_features", "shared_two_hop_paths"])
+def test_witness_queries_require_the_knn_predicate(query):
+    # left out, the knn edges would be weighed as features
+    store, e, s, *_ = two_hop_fixture()
+    with pytest.raises(TypeError):
+        getattr(store, query)(e, {s})
 
 
 # -- knn materialization ---------------------------------------------------------------
