@@ -15,8 +15,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import (IO, Callable, Iterable, Mapping, NoReturn, Sequence,
-                    TypeVar, get_args, get_type_hints)
+from typing import (IO, Callable, Iterable, NoReturn, Sequence, TypeVar,
+                    get_args, get_type_hints)
 
 from .rdf import (DEFAULT_KNN_PREDICATE, IRI, TripleStore,
                   _no_cycle_collection, iri, load_ntriples, term_to_ntriples)
@@ -28,7 +28,7 @@ from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
                         Summary, SummaryContext, reverse_links, summarize)
 from .textio import NOT_UTF8, read_text, undecodable
-from .usage import RatingsFormat, UsageMatrix, ingest_ratings
+from .usage import RatingsFormat, ingest_ratings
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -147,9 +147,12 @@ def parse_config_file(path: str) -> dict:
                 converted = _config_value(key, value.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
-            if values.setdefault(key, converted) != converted:
+            # compared only with an earlier line's value: nan is unequal
+            # to itself, and validate names it on its own
+            if key in values and values[key] != converted:
                 raise ValueError(f"{path}:{line_no}: key {key!r} is already "
                                  f"set to {values[key]!r}")
+            values[key] = converted
     return values
 
 
@@ -208,12 +211,9 @@ def _parse_input(what: str, path: str, parse: Callable[[IO[str]], _Parsed]
             return _fingerprint(data), parse(text)
 
 
-def write_bundle(path: str, matrix: UsageMatrix,
-                 lists: Mapping[str, NeighborList], cfg: PipelineConfig,
-                 knn_added: int, diagnostics: dict, store: TripleStore,
-                 inputs: Mapping[str, dict]) -> None:
-    """Write the bundle at path and the store's snapshot beside it; inputs
-    maps ratings, graph and links to the _fingerprint of each input file."""
+def write_bundle(path: str, payload: dict, store: TripleStore) -> None:
+    """Write the bundle at path, payload with format_version and the
+    snapshot's _fingerprint added, and the store's snapshot beside it."""
     # Each file goes to a temporary file beside it, and is synced to disk.
     # Only once both are complete does each replace its previous file, the
     # snapshot first, so a failed write leaves the previous pair as it was,
@@ -229,42 +229,27 @@ def write_bundle(path: str, matrix: UsageMatrix,
                                         os.strerror(errno.EISDIR))
     staged: list[tuple[str, str, str]] = []  # what, path, temporary file
 
-    def stage(what: str, target: str, mode: str, write) -> None:
+    def stage(what: str, target: str, *chunks: bytes) -> None:
         tmp = f"{target}.{os.getpid()}.tmp"
         staged.append((what, target, tmp))
-        with _writing(what, target), open(
-                tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            write(fh)
+        with _writing(what, target), open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
 
     try:
         data = store.snapshot()
         snapshot = _fingerprint(data)
-        stage("graph snapshot", _snapshot_path(path), "wb",
-              lambda fh: fh.write(data))
+        stage("graph snapshot", _snapshot_path(path), data)
         del data  # not held while the bundle is made and written
-        payload = {
-            "format_version": FORMAT_VERSION,
-            **inputs,
-            "snapshot": snapshot,
-            "users": len(matrix.users),
-            "items": len(matrix.items),
-            "k": cfg.k,
-            "mode": cfg.mode,
-            "threshold": cfg.threshold,
-            "knn_predicate": cfg.knn_predicate,
-            "type_filter": cfg.type_filter,
-            "knn_triples_added": knn_added,
-            "diagnostics": diagnostics,
-            # (item, score) tuples encode as [item, score] arrays
-            "neighbors": {center: nl.neighbors
-                          for center, nl in lists.items()},
-        }
         # json.dumps runs the C encoder; json.dump to a file streams
-        # through the pure-Python one
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        stage("bundle", path, "w", lambda fh: fh.write(text + "\n"))
+        # through the pure-Python one. Its text, ASCII by default, is
+        # encoded once and not held beside its encoding while written.
+        stage("bundle", path, json.dumps(
+            {**payload, "format_version": FORMAT_VERSION,
+             "snapshot": snapshot},
+            sort_keys=True, separators=(",", ":")).encode(), b"\n")
         for what, target, tmp in staged:
             with _writing(what, target):
                 os.replace(tmp, target)
@@ -478,14 +463,25 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     edges, skipped = store.knn_edges(lists, links, iri(cfg.knn_predicate))
     knn_added = len(edges)
     del edges
-    diagnostics = {
-        "rejected_ratings_lines": ingest.rejected,
-        "malformed_triple_lines": triple_diags,
-        "unmatched_items": unmatched,
-        "skipped_links": skipped,
-    }
-    write_bundle(cfg.bundle, matrix, lists, cfg, knn_added, diagnostics,
-                 store, inputs)
+    write_bundle(cfg.bundle, {
+        **inputs,
+        "users": len(matrix.users),
+        "items": len(matrix.items),
+        "k": cfg.k,
+        "mode": cfg.mode,
+        "threshold": cfg.threshold,
+        "knn_predicate": cfg.knn_predicate,
+        "type_filter": cfg.type_filter,
+        "knn_triples_added": knn_added,
+        "diagnostics": {
+            "rejected_ratings_lines": ingest.rejected,
+            "malformed_triple_lines": triple_diags,
+            "unmatched_items": unmatched,
+            "skipped_links": skipped,
+        },
+        # (item, score) tuples encode as [item, score] arrays
+        "neighbors": {center: nl.neighbors for center, nl in lists.items()},
+    }, store)
     log.write(f"users: {len(matrix.users)}\n")
     log.write(f"items: {len(matrix.items)}\n")
     log.write(f"rejected ratings lines: {len(ingest.rejected)}\n")

@@ -545,6 +545,22 @@ def test_config_key_set_twice_to_another_value_is_refused(
         assert captured.err == f"error: {config}:{len(kept) + 2}: {refused}\n"
 
 
+@pytest.mark.parametrize("times", [1, 2])
+def test_config_nan_threshold_is_refused_once_as_out_of_range(
+        eight_film_corpus, capsys, times):
+    # nan is unequal to itself: one line of it is no key set twice
+    config = eight_film_corpus.config
+    kept = _config_lines_without(config, "threshold")
+    config.write_text("".join(kept) + "threshold = nan\n" * times)
+    assert build(eight_film_corpus) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: threshold must lie in (0, 1), got nan\n" if times == 1 else
+        f"error: {config}:{len(kept) + 2}: key 'threshold' is already set "
+        f"to nan\n")
+
+
 def test_non_utf8_config_file_is_refused(eight_film_corpus, capsys):
     config = eight_film_corpus.config
     line_no = len(config.read_bytes().splitlines()) + 1
@@ -1015,6 +1031,55 @@ def test_bundle_records_each_input_file_fingerprint(eight_film_corpus,
     assert "matrix_digest" not in bundle
 
 
+def test_bundle_records_the_build_it_was_written_by(eight_film_corpus,
+                                                    capsys):
+    # one rejected ratings line, one malformed triple and one unlinked item
+    # (m9), so that each count the build log prints is one the bundle holds
+    with eight_film_corpus.ratings.open("a") as fh:
+        fh.write("u1\tm9\t4.0\nu9\n")
+    with eight_film_corpus.triples.open("a") as fh:
+        fh.write(f"<{film_iri('m1')}> <{EX}p/genre> .\n")
+    capsys.readouterr()
+    assert build(eight_film_corpus) == 0
+    log = dict(line.split(": ", 1)
+               for line in capsys.readouterr().out.splitlines())
+    bundle = json.loads(eight_film_corpus.bundle.read_text())
+    assert set(bundle) == {
+        "format_version", "ratings", "graph", "links", "snapshot", "users",
+        "items", "k", "mode", "threshold", "knn_predicate", "type_filter",
+        "knn_triples_added", "diagnostics", "neighbors"}
+    diagnostics = bundle["diagnostics"]
+    assert set(diagnostics) == {"rejected_ratings_lines",
+                                "malformed_triple_lines", "unmatched_items",
+                                "skipped_links"}
+    assert diagnostics["unmatched_items"] == ["m9"]
+    assert log == {
+        "users": str(bundle["users"]),
+        "items": str(bundle["items"]),
+        "rejected ratings lines": str(
+            len(diagnostics["rejected_ratings_lines"])),
+        "triples loaded": "28",
+        "malformed triple lines": str(
+            len(diagnostics["malformed_triple_lines"])),
+        "linked items": f"8/{bundle['items']}",
+        "unmatched items": str(len(diagnostics["unmatched_items"])),
+        "knn triples added": str(bundle["knn_triples_added"]),
+        "bundle": str(eight_film_corpus.bundle)}
+    assert (bundle["users"], bundle["items"]) == (8, 9)
+    assert [len(diagnostics[name]) for name in (
+        "rejected_ratings_lines", "malformed_triple_lines")] == [1, 1]
+    assert bundle["knn_triples_added"] == 24
+    assert (bundle["format_version"], bundle["k"], bundle["mode"],
+            bundle["threshold"]) == (knnsum_cli.FORMAT_VERSION, 20,
+                                     "fixed-k", None)
+    assert (bundle["knn_predicate"], bundle["type_filter"]) == (KNN_PRED,
+                                                                FILM_TYPE)
+    data = snapshot_of(eight_film_corpus).read_bytes()
+    assert bundle["snapshot"] == {"sha256": hashlib.sha256(data).hexdigest(),
+                                  "size": len(data)}
+    assert set(bundle["neighbors"]) == {*FILMS, "m9"}
+
+
 # sha256 of each output on the 8-film fixture; build's last line, which
 # names the bundle path, reads "bundle: BUNDLE", and the bundle is read as
 # pinned_bundle_text gives it
@@ -1330,11 +1395,14 @@ def test_bundle_bytes_equal_the_streamed_json_encoding(tmp_path):
     cfg = PipelineConfig()
     assert cfg.threshold is None
     bundle = tmp_path / "bundle.json"
-    write_bundle(str(bundle), matrix, lists, cfg, 4,
-                 {"unmatched_items": ["\U0001f3ac"]},
-                 knnsum.TripleStore(eight_film_triples()),
-                 {name: {"sha256": str(i) * 64, "size": i} for i, name in
-                  enumerate(("ratings", "graph", "links"))})
+    write_bundle(str(bundle), {
+        **{name: {"sha256": str(i) * 64, "size": i} for i, name in
+           enumerate(("ratings", "graph", "links"))},
+        "users": len(matrix.users), "items": len(matrix.items), "k": cfg.k,
+        "threshold": cfg.threshold, "knn_triples_added": 4,
+        "diagnostics": {"unmatched_items": ["\U0001f3ac"]},
+        "neighbors": {center: nl.neighbors for center, nl in lists.items()},
+    }, knnsum.TripleStore(eight_film_triples()))
     written = bundle.read_bytes()
     payload = json.loads(written)
     assert payload["threshold"] is None

@@ -13,7 +13,8 @@ from knnsum.similarity import (NeighborList, UndefinedTableError, _Kernel,
                                all_pairs_knn, format_neighbors_tsv,
                                k_nearest_neighbors, log_likelihood_ratio,
                                neighbors_above_threshold, similarity_score)
-from knnsum.usage import ContingencyTable, UnknownItemError, UsageMatrix
+from knnsum.usage import (ContingencyTable, UnknownItemError, UsageMatrix,
+                          cooccurrence)
 from oracles import (brute_corater_counts, g2_oracle, knn_oracle, rater_sets,
                      threshold_oracle)
 
@@ -71,6 +72,27 @@ def test_llr_rank_one_tables_are_zero():
     # cells proportional to margin products
     for k11, k12, k21, k22 in ((2, 4, 3, 6), (5, 5, 5, 5), (0, 0, 3, 7)):
         assert log_likelihood_ratio(T(k11, k12, k21, k22)) == 0.0
+
+
+# Apache Mahout's LogLikelihoodTest cases: table, G2 and Mahout's delta
+@pytest.mark.parametrize("table, g2, delta", [
+    ((1, 0, 0, 1), 2.772589, 1e-6),
+    ((10, 0, 0, 10), 27.72589, 1e-5),
+    ((5, 1995, 0, 100000), 39.33052, 1e-5),
+    ((1000, 1995, 1000, 100000), 4730.737, 1e-3),
+    ((1000, 1000, 1000, 100000), 5734.343, 1e-3),
+    ((1000, 1000, 1000, 99000), 5714.932, 1e-3)])
+def test_llr_matches_mahout_published_values(table, g2, delta):
+    assert abs(log_likelihood_ratio(T(*table)) - g2) <= delta
+    # the kernel on a matrix that gives the table for items a and b: k11
+    # users rate both, k12 only a, k21 only b, and k22 only a third item c
+    rated = [items for count, items in zip(table, ("ab", "a", "b", "c"))
+             for _ in range(count)]
+    m = UsageMatrix([(f"u{user}", item) for user, items in enumerate(rated)
+                     for item in items])
+    assert cooccurrence(m, "a", "b") == table
+    assert dict(all_pairs_knn(m)["a"].neighbors)["b"] == \
+        similarity_score(T(*table))
 
 
 # -- similarity score ------------------------------------------------------------
