@@ -1,19 +1,21 @@
 """In-memory indexed triple store with N-Triples ingestion.
 
 Identity is lexical: no IRI normalization, case-sensitive throughout.
-The store interns its terms: each distinct Term gets an int id, and two
+The store interns its terms: each distinct term gets an int id, and two
 indexes of ids, subject and predicate-object, back every query. Each
 index is a few sorted arrays of ids with offsets, not dicts and sets, so
 a store is compact and its snapshot is mostly the arrays' raw bytes. The
 entities of a type are read from the predicate-object index under
-rdf:type. Every method takes and returns Terms.
+rdf:type. The store keeps each term as the plain tuple of its fields,
+which a Term equals and hashes as, so neither a load nor a snapshot
+builds a Term; every method still takes and returns Terms, each made on
+its first return.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import io
 import marshal
 import re
 import sys
@@ -130,16 +132,6 @@ SNAPSHOT_HEADER = (("marshal_version", marshal.version),
                    ("index_layout", "sorted int%d %s-endian"
                     % (8 * array("i").itemsize, sys.byteorder)))
 
-# marshal's framing of a tuple, a list and a bytes object: a type code,
-# then the item or byte count as 4 bytes, little-endian
-_TUPLE, _LIST, _BYTES = b"(", b"[", b"s"
-_TERM_CHUNK = 1024  # terms marshalled at a time by snapshot()
-
-
-def _framing(code: bytes, n: int) -> bytes:
-    return code + n.to_bytes(4, "little")
-
-
 @contextlib.contextmanager
 def _no_cycle_collection():
     """Cycle collection off for the block, and the caller's collector
@@ -214,8 +206,8 @@ class TripleStore:
     query."""
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._ids: dict[Term, int] = {}
-        self._terms: list[Term] = []  # by id
+        self._ids: dict[tuple, int] = {}  # by fields, so by Term too
+        self._terms: list[tuple] = []  # each term's plain fields, by id
         # triples added since the indexes were built, as id triples
         self._added: set[tuple[int, int, int]] = set()
         none, zero = array("i"), array("i", [0])  # no triple, no term
@@ -264,8 +256,13 @@ class TripleStore:
         pairs of s's p-objects, one two-hop path (p, q, t) of s each, for
         a summarized entity as for a neighbor (_ends(s, p)); and the id of
         each pair (p, o) by o, which the two-hop supports look up once per
-        intermediate node (_object_pairs(p))."""
+        intermediate node (_object_pairs(p)). A query returns term i as
+        _term(i): a Term made from its field tuple on first return, and the
+        same Term after, since the many queries of a summary batch return
+        the same few terms."""
         self._indexes = spo, pos
+        terms = self._terms
+        self._term = cache(lambda i: tuple.__new__(Term, terms[i]))
         self._holders = cache(lambda j: frozenset(pos.subjects(j)))
         start, pair = spo
         self._ends = cache(lambda s, p: frozenset(chain.from_iterable(
@@ -295,8 +292,9 @@ class TripleStore:
         return (subjects, map(pos.p.__getitem__, spo.pair),
                 map(pos.o.__getitem__, spo.pair))
 
-    def _intern(self, term: Term) -> int:
+    def _intern(self, term: tuple) -> int:
         if term not in self._ids:
+            term = tuple(term)  # a Term's plain fields: marshal writes no Term
             self._ids[term] = len(self._terms)
             self._terms.append(term)
         return self._ids[term]
@@ -312,7 +310,7 @@ class TripleStore:
         return ids
 
     def _term_set(self, ids: Iterable[int]) -> set[Term]:
-        return {self._terms[i] for i in ids}
+        return set(map(self._term, ids))
 
     def add(self, t: Triple) -> bool:
         """Insert a triple; returns False if it was already present."""
@@ -334,38 +332,26 @@ class TripleStore:
 
     def snapshot(self) -> bytes:
         """The store as bytes that from_snapshot reads back: one marshal
-        (format 2) tuple of SNAPSHOT_HEADER, the terms by id as (kind,
-        lexical, language, datatype) tuples, then the raw bytes of each
-        index array, _SubjectIndex's and then _PairIndex's in field order.
-        Format 2 writes no back-references, which depend on reference
-        counts, so a store built from the same input always gives the same
-        bytes. They are written a part at a time, so the writer holds
-        little more than them."""
+        (format 2) tuple of SNAPSHOT_HEADER, the list of the terms by id as
+        the (kind, lexical, language, datatype) tuples the store keeps, then
+        the raw bytes of each index array, _SubjectIndex's and then
+        _PairIndex's in field order. Format 2 writes no back-references,
+        which depend on reference counts, so a store built from the same
+        input always gives the same bytes."""
         spo, pos = self._current()
-        arrays = (*spo, *pos)
-        out = io.BytesIO()
-        out.write(_framing(_TUPLE, 2 + len(arrays)))
-        out.write(marshal.dumps(SNAPSHOT_HEADER, 2))
-        out.write(_framing(_LIST, len(self._terms)))
-        for i in range(0, len(self._terms), _TERM_CHUNK):
-            chunk = [tuple(t) for t in self._terms[i:i + _TERM_CHUNK]]
-            # the chunk's items, without its own list framing
-            out.write(memoryview(marshal.dumps(chunk, 2))[5:])
-        for a in arrays:
-            out.write(_framing(_BYTES, len(a) * a.itemsize))
-            out.write(a)
-        return out.getvalue()
+        return marshal.dumps((SNAPSHOT_HEADER, self._terms, *spo, *pos), 2)
 
     @classmethod
     def from_snapshot(cls, data: bytes) -> TripleStore:
         """The store whose snapshot() data is. Every term is checked by the
-        Term constructor's rule, then built without calling it. A header
-        other than this process's SNAPSHOT_HEADER is a ValueError naming the
-        field. The index arrays are read in place, as int views of the
-        bytes that marshal gives: no copy, and no spare room. marshal is
-        not safe on damaged bytes: check data's integrity first."""
-        kinds = {IRI: IRI, LITERAL: LITERAL, BLANK: BLANK}  # one str each
-        new = tuple.__new__
+        Term constructor's rule, and kept as its field tuple, no Term. A
+        header other than this process's SNAPSHOT_HEADER is a ValueError
+        naming the field. The index arrays are read in place, as int views
+        of the bytes that marshal gives: no copy, and no spare room.
+        marshal is not safe on damaged bytes: check data's integrity
+        first."""
+        # marshal format 2 writes each kind anew: one str each instead
+        kinds = {IRI: IRI, LITERAL: LITERAL, BLANK: BLANK}
         store = cls()
         with _no_cycle_collection():
             header, terms, *indexes = marshal.loads(data)
@@ -375,12 +361,11 @@ class TripleStore:
                     raise ValueError(
                         f"was written with {name} = {found.get(name)!r}, "
                         f"but this process has {name} = {value!r}")
-            # each Term replaces its tuple in marshal's list: the two are
-            # never all alive together
+            # each tuple with the shared kind replaces marshal's in its
+            # list: the two are never all alive together
             for i, (kind, lexical, language, datatype) in enumerate(terms):
                 _check_term(kind, lexical, language, datatype)
-                terms[i] = new(Term, (kinds[kind], lexical, language,
-                                      datatype))
+                terms[i] = kinds[kind], lexical, language, datatype
             store._terms = terms
             store._ids = dict(zip(terms, count()))
             arrays = [memoryview(raw).cast("i") for raw in indexes]
@@ -388,9 +373,9 @@ class TripleStore:
         return store
 
     def __iter__(self):
-        t = self._terms
-        return (Triple(t[s], t[p], t[o])
-                for s, p, o in zip(*self._columns(*self._current())))
+        columns = zip(*self._columns(*self._current()))
+        term = self._term
+        return (Triple(term(s), term(p), term(o)) for s, p, o in columns)
 
     def __contains__(self, t: Triple) -> bool:
         s, p, o = map(self._id, t)
@@ -447,7 +432,7 @@ class TripleStore:
                         knn_predicate: Term) -> dict[Feature, set[Term]]:
         """Features of e held by at least one of the given neighbors; no
         knn_predicate pair is a feature."""
-        (spo, pos), terms = self._current(), self._terms
+        (spo, pos), term = self._current(), self._term
         knn, nbrs = self._id(knn_predicate), self._id_set(neighbors)
         i, rows = self._id(e), pos.rows
         out: dict[Feature, set[Term]] = {}
@@ -457,7 +442,7 @@ class TripleStore:
             if pos.p[j] != knn and (rows[j + 1] - rows[j] > 1 or i in nbrs):
                 witnesses = nbrs.intersection(self._holders(j))
                 if witnesses:
-                    out[Feature(terms[pos.p[j]], terms[pos.o[j]])] = (
+                    out[Feature(term(pos.p[j]), term(pos.o[j]))] = (
                         self._term_set(witnesses))
         return out
 
@@ -471,7 +456,7 @@ class TripleStore:
         on both sides and are never required to coincide. Neither hop may
         use knn_predicate.
         """
-        (spo, pos), terms = self._current(), self._terms
+        (spo, pos), term = self._current(), self._term
         knn, i = self._id(knn_predicate), self._id(e)
         # e's paths by first property p: the (q, t) pairs of its p-objects,
         # asked of _ends only for a p with a p-object that is a subject
@@ -487,7 +472,7 @@ class TripleStore:
             for p, pairs in ends.items():
                 for k in pairs.intersection(self._ends(n, p)):
                     witnesses.setdefault((p, k), []).append(n)
-        return {PathFeature(terms[p], terms[pos.p[k]], terms[pos.o[k]]):
+        return {PathFeature(term(p), term(pos.p[k]), term(pos.o[k])):
                 self._term_set(ws) for (p, k), ws in witnesses.items()}
 
     def knn_edges(self, lists: Mapping[str, NeighborList],
@@ -527,7 +512,7 @@ class TripleStore:
         """The entity the link map gives for item, if it is a subject here."""
         # iri(target)'s fields as a key: a None or "" target is not found
         i = self._id((IRI, link.get(item), None, None))
-        return self._terms[i] if self._is_subject(i) else None
+        return self._term(i) if self._is_subject(i) else None
 
 
 # -- N-Triples parsing / serialization -------------------------------------
@@ -576,18 +561,21 @@ def _escape(value: str) -> str:
             .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
 
 
-def _parse_term(token: str) -> Term:
+def _parse_term(token: str) -> tuple[str, str, str | None, str | None]:
+    """The (kind, lexical, language, datatype) fields of a token that the
+    line pattern matched, which makes every check of the Term rule but
+    two: an empty IRI and an empty datatype are checked here."""
     if token.startswith("<"):
         value = token[1:-1]
         if not value:
             raise NTriplesError("empty IRI")
-        return iri(value)
+        return IRI, value, None, None
     if token.startswith("_:"):
-        return blank(token[2:])
+        return BLANK, token[2:], None, None
     m = _LITERAL_RE.fullmatch(token)  # as the line's pattern matched it
     if m.group("dt") == "":
         raise NTriplesError("empty IRI")
-    return literal(_unescape(m.group("body")), m.group("lang"), m.group("dt"))
+    return LITERAL, _unescape(m.group("body")), *m.group("lang", "dt")
 
 
 def load_ntriples(source: IO[str] | Iterable[str]

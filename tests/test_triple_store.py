@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -327,8 +328,8 @@ def test_snapshot_terms_are_checked_by_the_term_constructor():
 @given(documents)
 @settings(max_examples=50, deadline=None)
 def test_snapshot_is_framed_as_marshal_frames_it(lines):
-    # snapshot() writes marshal's framing itself, a part at a time; marshal
-    # must read it back, and write the same bytes for what it read
+    # snapshot() is marshal's own encoding of what it holds: marshal must
+    # read it back, and write the same bytes for what it read
     data = load_ntriples(lines)[0].snapshot()
     assert marshal.dumps(marshal.loads(data), 2) == data
 
@@ -358,9 +359,13 @@ def _held(make) -> int:
 
 
 def test_snapshot_store_holds_no_more_than_a_parsed_one(bench_long_tail_graph):
+    # freeing a store puts up to 2,000 of its term tuples on CPython's tuple
+    # free list, which tracemalloc does not see as freed; so a store is made
+    # and dropped first, and both measures start from that free list
     data = load_ntriples(bench_long_tail_graph)[0].snapshot()
     tracemalloc.start()
     try:
+        _held(lambda: load_ntriples(bench_long_tail_graph)[0])
         parsed = _held(lambda: load_ntriples(bench_long_tail_graph)[0])
         loaded = _held(lambda: TripleStore.from_snapshot(data))
     finally:
@@ -370,8 +375,8 @@ def test_snapshot_store_holds_no_more_than_a_parsed_one(bench_long_tail_graph):
 
 def test_snapshot_load_peaks_little_above_what_it_holds(
         bench_long_tail_graph):
-    # each Term replaces marshal's tuple of its fields as it is made, so
-    # that the tuples and the Terms are never all alive together
+    # each term's tuple with the shared kind replaces marshal's as it is
+    # made, so that the two are never all alive together
     data = load_ntriples(bench_long_tail_graph)[0].snapshot()
     tracemalloc.start()
     try:
@@ -393,6 +398,60 @@ def test_snapshot_allocates_little_beyond_its_bytes(bench_long_tail_graph):
     finally:
         tracemalloc.stop()
     assert len(data) <= peak <= 1.2 * len(data)
+
+
+def as_ntriples(triples) -> str:
+    return "".join(" ".join(map(term_to_ntriples, t)) + " .\n"
+                   for t in triples)
+
+
+def test_added_store_snapshots_as_its_parsed_triples():
+    # add() keeps the plain fields of the Terms it is given, which marshal
+    # writes as a parsed store's; the ids follow the same first sight
+    rng = random.Random(41)
+    extra = [Triple(blank("b0"), P, literal("x", datatype="http://x/dt")),
+             Triple(A, P, literal('t"\tb', language="en")), Triple(A, P, B)]
+    for _ in range(20):
+        triples = random_two_hop_store(rng)[1] + extra
+        rng.shuffle(triples)
+        parsed = load(as_ntriples(triples))[0]
+        assert TripleStore(triples).snapshot() == parsed.snapshot()
+
+
+def test_every_query_returns_terms():
+    # a Term equals the plain tuple of its fields, so only its type shows
+    # that a query made one from the fields the store keeps
+    e, s = iri("http://x/e"), iri("http://x/s")
+    perf, role, title = (iri(f"http://x/{n}") for n in ("perf", "role",
+                                                        "title"))
+    triples = [
+        Triple(e, perf, blank("p1")), Triple(blank("p1"), role, A),
+        Triple(s, perf, blank("p2")), Triple(blank("p2"), role, A),
+        Triple(e, title, literal("T", language="en")),
+        Triple(s, title, literal("T", language="en")),
+        Triple(e, KNN, s), Triple(e, RDF_TYPE, FILM),
+        Triple(s, RDF_TYPE, FILM),
+    ]
+    link = {"e": e.lexical, "s": s.lexical}
+    lists = {"s": NeighborList("s", [("e", 0.5)])}
+    parsed = load(as_ntriples(triples))[0]
+    for store in (parsed, TripleStore.from_snapshot(parsed.snapshot()),
+                  TripleStore(triples)):
+        # the arguments as plain tuples, so that no query returns its own
+        args = tuple(e), {tuple(s)}, tuple(KNN)
+        one_hop = store.shared_features(*args)
+        two_hop = store.shared_two_hop_paths(*args)
+        assert len(one_hop) == 2 and len(two_hop) == 1
+        returned = [*chain.from_iterable(store),
+                    *store.subjects_with(tuple(RDF_TYPE), tuple(FILM)),
+                    *store.objects_of(tuple(e), tuple(KNN)),
+                    store.linked_entity("e", link),
+                    *entity_universe(store, FILM),
+                    *chain.from_iterable(store.knn_edges(lists, link,
+                                                         KNN)[0])]
+        for feature, witnesses in [*one_hop.items(), *two_hop.items()]:
+            returned += [*feature, *witnesses]
+        assert all(type(t) is Term for t in returned), returned
 
 
 # -- store semantics ---------------------------------------------------------------
