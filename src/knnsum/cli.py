@@ -27,7 +27,7 @@ from .similarity import (DEFAULT_K, NeighborList, all_pairs_knn,
 from .similarity import neighbors_above_threshold  # noqa: F401
 from .summarize import (DEFAULT_N, FIXED_K, THRESHOLD, ResolutionError,
                         Summary, SummaryContext, reverse_links, summarize)
-from .textio import NOT_UTF8, read_text, undecodable
+from .textio import NOT_UTF8, Diagnostic, read_text, undecodable
 from .usage import RatingsFormat, ingest_ratings
 
 EXIT_OK = 0
@@ -82,6 +82,8 @@ class PipelineConfig:
         for name in ("knn_predicate", "type_filter"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty IRI")
+        if not self.bundle:
+            raise ValueError("bundle must be a non-empty path")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n < 1:
@@ -335,21 +337,80 @@ def _check_fingerprint(cfg: PipelineConfig, bundle: dict, name: str,
 
 
 def _load_graph(cfg: PipelineConfig, bundle: dict) -> TripleStore:
-    """The store in the bundle's graph snapshot. The graph at cfg.triples
-    and the snapshot must match the fingerprints the bundle records; the
-    snapshot's is checked before a byte of it is unmarshalled."""
+    """The store in the bundle's graph snapshot, refused unless the graph
+    at cfg.triples matches the fingerprint the bundle records, and the
+    snapshot passes _load_snapshot's checks."""
     with _reading("triples file", cfg.triples), open(cfg.triples, "rb") as fh:
         graph = _fingerprint(fh.read())
     _check_fingerprint(cfg, bundle, "graph", cfg.triples, graph)
+    return _load_snapshot(cfg, bundle)
+
+
+def _load_snapshot(cfg: PipelineConfig, bundle: dict) -> TripleStore:
+    """The store in the graph snapshot beside cfg.bundle, for summarize
+    and for a build that reuses it. The snapshot's size and sha256 must be
+    those the bundle records, checked before a byte of it is unmarshalled;
+    then from_snapshot checks its header and every term. A marshal of
+    another shape (a TypeError as from_snapshot unpacks it) is refused
+    as a bad header is."""
     path = _snapshot_path(cfg.bundle)
     with _reading("graph snapshot", path), open(path, "rb") as fh:
         data = fh.read()
     _check_fingerprint(cfg, bundle, "snapshot", path, _fingerprint(data))
     try:
         return TripleStore.from_snapshot(data)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise _CommandError(
             f"graph snapshot {path!r} {exc}; rebuild the bundle") from None
+
+
+def _diagnostics(found: object) -> list[Diagnostic] | None:
+    """found as loaded, if it is a list of [line number, reason] pairs,
+    as build writes its diagnostics; else None."""
+    if type(found) is not list:
+        return None
+    for pair in found:
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is str):
+            return None
+    return [Diagnostic(*pair) for pair in found]
+
+
+def _previous_graph(cfg: PipelineConfig, graph: dict
+                    ) -> tuple[TripleStore, list[Diagnostic]] | None:
+    """The store and the malformed-line diagnostics that load_ntriples
+    made of the graph whose _fingerprint is graph, if the bundle already
+    at cfg.bundle was built from that graph and its snapshot passes
+    _load_snapshot's checks; else None, whatever the fault."""
+    try:
+        with open(cfg.bundle, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    # Decoding a whole bundle, neighbor lists and all, is wasted on one
+    # built from another graph: decode only one that may record this one.
+    if graph["sha256"].encode() not in data:
+        return None
+    try:
+        bundle = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    del data
+    if not (isinstance(bundle, dict)
+            and bundle.get("format_version") == FORMAT_VERSION
+            and bundle.get("graph") == graph
+            and isinstance(bundle.get("diagnostics"), dict)):
+        return None
+    snapshot = {"snapshot": bundle.get("snapshot")}
+    diagnostics = _diagnostics(
+        bundle["diagnostics"].get("malformed_triple_lines"))
+    del bundle  # its neighbor lists are not held while the snapshot loads
+    if diagnostics is None:
+        return None
+    try:
+        return _load_snapshot(cfg, snapshot), diagnostics
+    except _CommandError:
+        return None
 
 
 def _read_links(cfg: PipelineConfig) -> tuple[dict, dict[str, str]]:
@@ -435,6 +496,12 @@ def _writing(what: str, path: str):
 
 
 def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
+    """Ingest the ratings, load the graph and the link map, compute every
+    neighborhood, write the bundle pair at cfg.bundle and log the counts.
+    The graph is parsed only if the pair already at cfg.bundle was not
+    built from the same graph bytes (_previous_graph): else its snapshot
+    and malformed-line diagnostics are reused, after the checks that
+    summarize makes of them. Everything else is computed afresh."""
     # numpy, first imported below, calls no BLAS here: start no BLAS threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     inputs = {}
@@ -447,8 +514,13 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
                  if rejected else "")
         raise _CommandError(f"no ratings line of {cfg.ratings!r} was "
                             f"accepted ({len(rejected)} rejected{first})")
-    inputs["graph"], (store, triple_diags) = _parse_input(
-        "triples file", cfg.triples, load_ntriples)
+    with _reading("triples file", cfg.triples):
+        data, text = read_text(cfg.triples)
+        with text:
+            inputs["graph"] = _fingerprint(data)
+            del data  # text holds the bytes while they may be parsed
+            store, triple_diags = (_previous_graph(cfg, inputs["graph"])
+                                   or load_ntriples(text))
     inputs["links"], links = _read_links(cfg)
     matrix = ingest.matrix
     unmatched = [item for item in matrix.items
@@ -575,6 +647,28 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _same_file(a: str, b: str) -> bool:
+    """True if both paths name one existing file."""
+    try:
+        return os.path.samefile(a, b)
+    except (OSError, ValueError):  # a path missing, or holding a NUL
+        return False
+
+
+def _refuse_overwriting_inputs(cfg: PipelineConfig, config: str | None
+                               ) -> None:
+    """Refuse, before any input is read, a bundle or snapshot path that
+    is the same file as one of build's inputs: the write replaces it."""
+    inputs = (("ratings file", cfg.ratings), ("triples file", cfg.triples),
+              ("link map", cfg.links), ("config file", config))
+    for what, target in (("bundle", cfg.bundle),
+                         ("graph snapshot", _snapshot_path(cfg.bundle))):
+        for name, path in inputs:
+            if path and _same_file(target, path):
+                raise _CommandError(f"cannot write {what} {target!r}: it is "
+                                    f"the {name} {path!r}")
+
+
 def _open_out(cfg: PipelineConfig) -> contextlib.AbstractContextManager:
     """The output stream; a file is opened, and so truncated, only when a
     command has read its inputs and is about to write. One it cannot open
@@ -629,6 +723,8 @@ def _run(args: argparse.Namespace) -> int:
         cfg = build_config(args)
     except (ValueError, OSError) as exc:
         raise _CommandError(str(exc)) from None
+    if args.command == "build":
+        _refuse_overwriting_inputs(cfg, args.config)
     # where the command writes: build logs to stdout, whatever --out says
     out = cfg.out if args.command != "build" and cfg.out else "-"
     try:

@@ -1515,6 +1515,9 @@ BUNDLE_PAIR_DAMAGE = {
     "version 1 bundle": (
         _as_version_1, "has format_version = None, but this knnsum reads "
                        "format_version = 3; "),
+    "snapshot of another shape": (
+        lambda c: _record_snapshot(c, marshal.dumps(5, 2)),
+        "cannot unpack non-iterable int object; "),
     "nested-dict snapshot": (
         _as_nested_layout,
         "was written with index_layout = None, but this process has "
@@ -1539,6 +1542,167 @@ def test_stale_or_damaged_bundle_pair_is_refused(eight_film_corpus, capsys,
     assert captured.err.count("\n") == 1
     if damage != "snapshot missing":  # a file that cannot be read
         assert captured.err.endswith("; rebuild the bundle\n")
+
+
+# -- a rebuild reuses the snapshot of an unchanged graph ----------------------
+
+def _build_in(corpus, capsys, root: Path, monkeypatch) -> tuple:
+    """Build the corpus into bundle.json in root, a path the log names
+    alike in every directory: the log, the bundle and the snapshot."""
+    monkeypatch.chdir(root)
+    capsys.readouterr()
+    assert build(corpus, "--bundle", "bundle.json") == 0
+    return (capsys.readouterr().out, (root / "bundle.json").read_bytes(),
+            (root / "bundle.json.graph").read_bytes())
+
+
+def _count_parses(monkeypatch) -> list:
+    """A list that load_ntriples, as build calls it, appends to on each
+    call."""
+    calls = []
+    parse = knnsum_cli.load_ntriples
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(knnsum_cli, "load_ntriples", counted)
+    return calls
+
+
+def _fresh_dir(corpus) -> Path:
+    fresh = corpus.root / "fresh"
+    fresh.mkdir()
+    return fresh
+
+
+@pytest.mark.parametrize("damage", BUNDLE_PAIR_DAMAGE)
+def test_rebuild_over_a_stale_or_damaged_pair_parses_the_graph(
+        eight_film_corpus, capsys, monkeypatch, damage):
+    c = eight_film_corpus
+    assert build(c) == 0
+    BUNDLE_PAIR_DAMAGE[damage][0](c)
+    parses = _count_parses(monkeypatch)
+    rebuilt = _build_in(c, capsys, c.root, monkeypatch)
+    assert parses == [1]
+    assert rebuilt == _build_in(c, capsys, _fresh_dir(c), monkeypatch)
+
+
+def test_rebuild_of_an_unchanged_graph_reuses_its_snapshot(
+        eight_film_corpus, capsys, monkeypatch):
+    c = eight_film_corpus
+    with c.triples.open("a", encoding="utf-8") as fh:  # two diagnostics
+        fh.write(f"<{film_iri('m1')}> <{EX}p/genre> <> .\n"
+                 f'<{film_iri("m2")}> <{EX}p/title> "\\u00\u00e91" .\n')
+    assert build(c) == 0
+    # all but the graph changes: the lists, links and counts are new
+    _edit(c.ratings, lambda b: b.replace(b"u5\tm5", b"u5\tm1"))
+    _edit(c.links, lambda b: b.replace(f"m8\t{film_iri('m8')}\n".encode(),
+                                       b""))
+    fresh = _build_in(c, capsys, _fresh_dir(c), monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was parsed")
+
+    monkeypatch.setattr(knnsum_cli, "load_ntriples", refuse)
+    assert _build_in(c, capsys, c.root, monkeypatch) == fresh
+    log, bundle, _snapshot = fresh
+    assert "malformed triple lines: 2\n" in log
+    assert "unmatched items: 1\n" in log
+    n = len(c.triples.read_bytes().splitlines())
+    assert json.loads(bundle)["diagnostics"]["malformed_triple_lines"] == [
+        [n - 1, "empty IRI"], [n, "bad \\u escape: 00\u00e91"]]
+
+
+@pytest.mark.parametrize("found", [
+    None, {"9": "empty IRI"}, [[9, "empty IRI", 0]], [[9]], [["9", "x"]],
+    [[9.0, "x"]], [[True, "x"]], [[9, None]], [[9, ["x"]]], [(9, "x"), 9]])
+def test_rebuild_over_malformed_diagnostics_parses_the_graph(
+        eight_film_corpus, capsys, monkeypatch, found):
+    c = eight_film_corpus
+    built = _build_in(c, capsys, c.root, monkeypatch)
+    payload = json.loads(built[1])
+    payload["diagnostics"]["malformed_triple_lines"] = found
+    c.bundle.write_text(json.dumps(payload))
+    parses = _count_parses(monkeypatch)
+    assert _build_in(c, capsys, c.root, monkeypatch) == built
+    assert parses == [1]
+
+
+# a bundle that holds the graph's sha256 but does not vouch for the graph
+@pytest.mark.parametrize("edit", [
+    lambda p: {**p, "format_version": 2},
+    lambda p: {**p, "format_version": "3"},
+    lambda p: {**p, "graph": {**p["graph"], "size": p["graph"]["size"] + 1}},
+    lambda p: {**p, "graph": None, "ratings": p["graph"]},
+    lambda p: {**p, "diagnostics": None},
+    lambda p: [p]])
+def test_rebuild_over_a_bundle_of_another_graph_parses_it(
+        eight_film_corpus, capsys, monkeypatch, edit):
+    c = eight_film_corpus
+    built = _build_in(c, capsys, c.root, monkeypatch)
+    c.bundle.write_text(json.dumps(edit(json.loads(built[1]))))
+    parses = _count_parses(monkeypatch)
+    assert _build_in(c, capsys, c.root, monkeypatch) == built
+    assert parses == [1]
+
+
+@pytest.mark.parametrize("graph", ["unchanged", "edited"])
+def test_rebuild_decodes_only_a_bundle_that_names_the_graph(
+        eight_film_corpus, capsys, monkeypatch, graph):
+    c = eight_film_corpus
+    assert build(c) == 0
+    if graph == "edited":
+        _edit(c.triples, lambda b: b + EXTRA_TRIPLE.encode())
+    decoded = []
+    loads = json.loads
+
+    def counted(data, *args, **kwargs):
+        decoded.append(data)
+        return loads(data, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    parses = _count_parses(monkeypatch)
+    capsys.readouterr()
+    assert build(c) == 0
+    assert (len(decoded), len(parses)) == ((1, 0) if graph == "unchanged"
+                                           else (0, 1))
+
+
+@pytest.mark.parametrize("command", [
+    ["build"], ["neighbors", "m1"], ["summarize", "m1"]])
+def test_empty_bundle_path_is_refused(eight_film_corpus, capsys, monkeypatch,
+                                      command):
+    c = eight_film_corpus
+    monkeypatch.chdir(c.root)
+    files = sorted(os.listdir(c.root))
+    assert main([command[0], "--config", str(c.config), "--bundle", "",
+                 *command[1:]]) == 1
+    assert capsys.readouterr() == (
+        "", "error: bundle must be a non-empty path\n")
+    assert sorted(os.listdir(c.root)) == files
+
+
+@pytest.mark.parametrize("name, what", [
+    ("ratings", "ratings file"), ("triples", "triples file"),
+    ("links", "link map"), ("config", "config file")])
+@pytest.mark.parametrize("output", ["bundle", "graph snapshot"])
+def test_bundle_pair_path_that_is_an_input_is_refused(
+        eight_film_corpus, capsys, name, what, output):
+    c = eight_film_corpus
+    path = getattr(c, name)
+    if output == "bundle":  # another spelling of the input's path
+        target = bundle = f"{c.root}/./{path.name}"
+    else:  # another name of the input's file
+        bundle = str(c.root / "pair.json")
+        target = f"{bundle}.graph"
+        os.link(path, target)
+    before = {p: p.read_bytes() for p in c.root.iterdir()}
+    assert build(c, "--bundle", bundle) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {output} {target!r}: it is the {what} "
+            f"{str(path)!r}\n")
+    assert {p: p.read_bytes() for p in c.root.iterdir()} == before
 
 
 def test_link_map_edited_after_build_is_refused(eight_film_corpus, capsys):
