@@ -12,6 +12,7 @@ import contextlib
 import errno
 import hashlib
 import json
+import mmap
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -203,14 +204,17 @@ def _fingerprint(data: bytes) -> dict:
 _Parsed = TypeVar("_Parsed")
 
 
-def _parse_input(what: str, path: str, parse: Callable[[IO[str]], _Parsed]
+def _parse_input(what: str, path: str,
+                 parse: Callable[[dict, IO[str]], _Parsed]
                  ) -> tuple[dict, _Parsed]:
-    """The _fingerprint of the file at path, and what parse makes of its
-    text, from one read: what is vouched for is what was parsed."""
+    """The _fingerprint of the file at path, and what parse makes of the
+    fingerprint and the text, from one read: what is vouched for is what
+    was parsed."""
     with _reading(what, path):
         data, text = read_text(path)
         with text:
-            return _fingerprint(data), parse(text)
+            found = _fingerprint(data)
+            return found, parse(found, text)
 
 
 def write_bundle(path: str, payload: dict, store: TripleStore) -> None:
@@ -382,14 +386,16 @@ def _previous_graph(cfg: PipelineConfig, graph: dict
     made of the graph whose _fingerprint is graph, if the bundle already
     at cfg.bundle was built from that graph and its snapshot passes
     _load_snapshot's checks; else None, whatever the fault."""
-    try:
-        with open(cfg.bundle, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
     # Decoding a whole bundle, neighbor lists and all, is wasted on one
-    # built from another graph: decode only one that may record this one.
-    if graph["sha256"].encode() not in data:
+    # built from another graph: decode only one that may record this one,
+    # found by a scan of the file's pages, not of a copy of its bytes.
+    try:
+        with open(cfg.bundle, "rb") as fh, \
+                mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            if view.find(graph["sha256"].encode()) < 0:
+                return None
+            data = view[:]
+    except (OSError, ValueError):  # ValueError: an empty file, not mapped
         return None
     try:
         bundle = json.loads(data)
@@ -416,7 +422,7 @@ def _previous_graph(cfg: PipelineConfig, graph: dict
 def _read_links(cfg: PipelineConfig) -> tuple[dict, dict[str, str]]:
     """The link map at cfg.links: its _fingerprint and its parse."""
     return _parse_input("link map", cfg.links,
-                        lambda fh: load_links(fh, cfg.links))
+                        lambda _, fh: load_links(fh, cfg.links))
 
 
 def _load_checked_links(cfg: PipelineConfig, bundle: dict) -> dict[str, str]:
@@ -499,28 +505,26 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     """Ingest the ratings, load the graph and the link map, compute every
     neighborhood, write the bundle pair at cfg.bundle and log the counts.
     The graph is parsed only if the pair already at cfg.bundle was not
-    built from the same graph bytes (_previous_graph): else its snapshot
-    and malformed-line diagnostics are reused, after the checks that
-    summarize makes of them. Everything else is computed afresh."""
+    built from the same graph bytes under the same parse rules
+    (_previous_graph): else its snapshot and malformed-line diagnostics
+    are reused, after the checks that summarize makes of them.
+    Everything else is computed afresh."""
     # numpy, first imported below, calls no BLAS here: start no BLAS threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     inputs = {}
     inputs["ratings"], ingest = _parse_input(
         "ratings file", cfg.ratings,
-        lambda fh: ingest_ratings(fh, cfg.ratings_format()))
+        lambda _, fh: ingest_ratings(fh, cfg.ratings_format()))
     if not ingest.matrix.items:  # not a linking fault: name the lines
         rejected = ingest.rejected
         first = (f"; first: line {rejected[0].line_no}: {rejected[0].reason}"
                  if rejected else "")
         raise _CommandError(f"no ratings line of {cfg.ratings!r} was "
                             f"accepted ({len(rejected)} rejected{first})")
-    with _reading("triples file", cfg.triples):
-        data, text = read_text(cfg.triples)
-        with text:
-            inputs["graph"] = _fingerprint(data)
-            del data  # text holds the bytes while they may be parsed
-            store, triple_diags = (_previous_graph(cfg, inputs["graph"])
-                                   or load_ntriples(text))
+    inputs["graph"], (store, triple_diags) = _parse_input(
+        "triples file", cfg.triples,
+        lambda found, text: (_previous_graph(cfg, found)
+                             or load_ntriples(text)))
     inputs["links"], links = _read_links(cfg)
     matrix = ingest.matrix
     unmatched = [item for item in matrix.items

@@ -123,14 +123,21 @@ def term_key(t: Term) -> tuple[str, str, str, str]:
     return (t.kind, t.lexical, t.language or "", t.datatype or "")
 
 
+# The version of load_ntriples' rules. Bump it with any change that makes
+# another store or other diagnostics of some input: a snapshot and the
+# diagnostics beside it that the old rules made are then neither trusted
+# nor reused, and the graph is parsed anew.
+PARSE_RULES = 1
+
 # What a snapshot records of the process that wrote it, as (field, value)
-# pairs: the marshal module's format, the Python version, and how the
-# index arrays lay out their ids. A snapshot from another of any is
-# refused, not read.
+# pairs: the marshal module's format, the Python version, how the index
+# arrays lay out their ids, and the parse rules. A snapshot from another
+# of any is refused, not read.
 SNAPSHOT_HEADER = (("marshal_version", marshal.version),
                    ("python_version", "%d.%d" % sys.version_info[:2]),
                    ("index_layout", "sorted int%d %s-endian"
-                    % (8 * array("i").itemsize, sys.byteorder)))
+                    % (8 * array("i").itemsize, sys.byteorder)),
+                   ("parse_rules", PARSE_RULES))
 
 @contextlib.contextmanager
 def _no_cycle_collection():

@@ -25,10 +25,12 @@ import knnsum
 from conftest import (EX, FILM_TYPE, FILMS, KNN_PRED, eight_film_triples,
                       film_iri, write_eight_film_corpus)
 from knnsum import cli as knnsum_cli
+from knnsum import rdf
 from knnsum.cli import (PipelineConfig, main, render_summary_structured,
                         write_bundle)
 from knnsum.similarity import NeighborList, all_pairs_knn
-from knnsum.rdf import RDF_TYPE, SNAPSHOT_HEADER, TripleStore, iri
+from knnsum.rdf import (PARSE_RULES, RDF_TYPE, SNAPSHOT_HEADER, TripleStore,
+                        iri)
 from knnsum.summarize import summarize
 from knnsum.usage import RatingsFormat, UsageMatrix, ingest_ratings
 from knnsum.rdf import load_ntriples
@@ -1087,7 +1089,7 @@ EIGHT_FILM_OUTPUTS = {
     "build": (
         "f47a0f50bae51c746d727acfc3a9c329986da72670045913053d6336590f4188"),
     "bundle.json": (
-        "7875e8f77c7b1ab58b7dbc6537c2e76a3ef5a08d60545e5ea6b973621db60366"),
+        "5c919848e1de07e317d4d4d12938a201d2dae0ee941266bc8c36c698f7ad9831"),
     "summarize --all": (
         "8b8975aef752599654ffbafb49d7f2f4c6b9a1a1408b7ef448609d1b7255856c"),
     "summarize --all --two-hop --format structured": (
@@ -1100,7 +1102,7 @@ EIGHT_FILM_OUTPUTS = {
 
 
 # the 8-film graph snapshot's size, which the bundle records
-EIGHT_FILM_SNAPSHOT_BYTES = 1452
+EIGHT_FILM_SNAPSHOT_BYTES = 1478
 
 
 def test_eight_film_outputs_are_pinned(eight_film_corpus, capsys):
@@ -1453,6 +1455,12 @@ def _other_header(corpus, field: str, value) -> None:
     _record_snapshot(corpus, marshal.dumps((header, *body), 2))
 
 
+def _header_without(corpus, field: str) -> None:
+    header, *body = marshal.loads(snapshot_of(corpus).read_bytes())
+    header = tuple(pair for pair in header if pair[0] != field)
+    _record_snapshot(corpus, marshal.dumps((header, *body), 2))
+
+
 def _snapshot_of_another_build(corpus) -> None:
     other = corpus.root / "other"
     other.mkdir()
@@ -1512,6 +1520,14 @@ BUNDLE_PAIR_DAMAGE = {
         lambda c: _other_header(c, "python_version", "2.7"),
         "was written with python_version = '2.7', but this process has "
         f"python_version = '{sys.version_info[0]}.{sys.version_info[1]}'; "),
+    "other parse rules": (
+        lambda c: _other_header(c, "parse_rules", PARSE_RULES + 1),
+        f"was written with parse_rules = {PARSE_RULES + 1}, but this process "
+        f"has parse_rules = {PARSE_RULES}; "),
+    "snapshot from before the parse rules": (
+        lambda c: _header_without(c, "parse_rules"),
+        "was written with parse_rules = None, but this process has "
+        f"parse_rules = {PARSE_RULES}; "),
     "version 1 bundle": (
         _as_version_1, "has format_version = None, but this knnsum reads "
                        "format_version = 3; "),
@@ -1614,6 +1630,24 @@ def test_rebuild_of_an_unchanged_graph_reuses_its_snapshot(
         [n - 1, "empty IRI"], [n, "bad \\u escape: 00\u00e91"]]
 
 
+def test_new_parse_rules_make_a_rebuild_parse(eight_film_corpus, capsys,
+                                              monkeypatch):
+    # as if PARSE_RULES were bumped: the pair the old rules made is parsed
+    # over, and the new pair is reused under the new rules
+    c = eight_film_corpus
+    assert dict(SNAPSHOT_HEADER)["parse_rules"] == PARSE_RULES
+    _build_in(c, capsys, c.root, monkeypatch)
+    bumped = tuple((name, value + 1 if name == "parse_rules" else value)
+                   for name, value in SNAPSHOT_HEADER)
+    monkeypatch.setattr(rdf, "SNAPSHOT_HEADER", bumped)
+    parses = _count_parses(monkeypatch)
+    rebuilt = _build_in(c, capsys, c.root, monkeypatch)
+    assert parses == [1]
+    assert marshal.loads(rebuilt[2])[0] == bumped
+    assert _build_in(c, capsys, c.root, monkeypatch) == rebuilt
+    assert parses == [1]
+
+
 @pytest.mark.parametrize("found", [
     None, {"9": "empty IRI"}, [[9, "empty IRI", 0]], [[9]], [["9", "x"]],
     [[9.0, "x"]], [[True, "x"]], [[9, None]], [[9, ["x"]]], [(9, "x"), 9]])
@@ -1644,6 +1678,17 @@ def test_rebuild_over_a_bundle_of_another_graph_parses_it(
     c.bundle.write_text(json.dumps(edit(json.loads(built[1]))))
     parses = _count_parses(monkeypatch)
     assert _build_in(c, capsys, c.root, monkeypatch) == built
+    assert parses == [1]
+
+
+def test_rebuild_over_an_empty_file_parses_the_graph(eight_film_corpus,
+                                                     capsys, monkeypatch):
+    # an empty file cannot be mapped, and is passed over as a stale bundle
+    c = eight_film_corpus
+    fresh = _build_in(c, capsys, _fresh_dir(c), monkeypatch)
+    c.bundle.write_bytes(b"")
+    parses = _count_parses(monkeypatch)
+    assert _build_in(c, capsys, c.root, monkeypatch) == fresh
     assert parses == [1]
 
 

@@ -292,7 +292,8 @@ def test_snapshot_round_trips_terms_and_indexes(lines):
     assert load_ntriples(lines)[0].snapshot() == data
 
 
-@pytest.mark.parametrize("field", ["marshal_version", "python_version"])
+@pytest.mark.parametrize("field", ["marshal_version", "python_version",
+                                   "parse_rules"])
 def test_snapshot_from_another_writer_is_refused(field):
     header, *body = marshal.loads(TripleStore([Triple(A, P, B)]).snapshot())
     other = tuple((name, "x" if name == field else value)
