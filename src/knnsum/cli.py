@@ -12,7 +12,7 @@ import contextlib
 import errno
 import hashlib
 import json
-import mmap
+import marshal
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -185,10 +185,17 @@ def load_links(lines: Iterable[str], path: str) -> dict[str, str]:
 
 # -- bundle ------------------------------------------------------------------
 
-# The bundle layout that build writes and the lookups read: version 3 adds
-# the link map's fingerprint to version 2's graph and snapshot ones (and
-# the ratings file's, which no lookup reads).
-FORMAT_VERSION = 3
+# The bundle layout that build writes and the lookups read: version 4
+# drops version 3's snapshot fingerprint, as the snapshot now vouches for
+# itself (_snapshot_header).
+FORMAT_VERSION = 4
+
+# A graph snapshot is one ASCII header line, then the body that it names:
+# marshal's (format 2) encoding of the pair (the malformed-line
+# diagnostics as (line, reason) tuples, the store's snapshot()), which is
+# the pair's type and length (_PAIR), then each item's own encoding.
+_SNAPSHOT_MAGIC = "knnsum-graph-snapshot"
+_PAIR = b"(\x02\x00\x00\x00"
 
 
 def _snapshot_path(bundle: str) -> str:
@@ -196,9 +203,23 @@ def _snapshot_path(bundle: str) -> str:
     return f"{bundle}.graph"
 
 
-def _fingerprint(data: bytes) -> dict:
-    """The size and sha256 of data."""
-    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
+def _fingerprint(*chunks: bytes) -> dict:
+    """The size and sha256 of the chunks' bytes, end to end."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return {"sha256": digest.hexdigest(), "size": sum(map(len, chunks))}
+
+
+def _snapshot_header(graph: dict, body: dict | None = None) -> bytes:
+    """The header of a snapshot of the graph file whose _fingerprint is
+    graph, over the body whose _fingerprint is body; with no body, the
+    start of it, which names the graph alone."""
+    header = (f"{_SNAPSHOT_MAGIC} graph {graph['size']} {graph['sha256']} "
+              "body ")
+    if body is not None:
+        header += f"{body['size']} {body['sha256']}\n"
+    return header.encode()
 
 
 _Parsed = TypeVar("_Parsed")
@@ -218,13 +239,16 @@ def _parse_input(what: str, path: str,
 
 
 def write_bundle(path: str, payload: dict, store: TripleStore) -> None:
-    """Write the bundle at path, payload with format_version and the
-    snapshot's _fingerprint added, and the store's snapshot beside it."""
+    """Write the bundle at path, payload with format_version added, and
+    beside it the graph snapshot of the store: a parse of the graph that
+    payload records, with the malformed-line diagnostics it records."""
     # Each file goes to a temporary file beside it, and is synced to disk.
     # Only once both are complete does each replace its previous file, the
-    # snapshot first, so a failed write leaves the previous pair as it was,
-    # and a crash between the two renames leaves a bundle whose snapshot
-    # fingerprint does not match, which the lookups refuse.
+    # snapshot first, so a failed write leaves the previous pair as it was.
+    # A crash between the two renames leaves a new snapshot beside the old
+    # bundle: of another graph, its header names another graph than the
+    # old bundle and the file do, and it is refused; of the same graph, it
+    # is a parse of the graph the old bundle records, and the pair holds.
     # A directory in either place is refused first: as the bundle, its
     # rename would fail only once the snapshot had replaced the old one.
     for what, target in (("graph snapshot", _snapshot_path(path)),
@@ -245,16 +269,17 @@ def write_bundle(path: str, payload: dict, store: TripleStore) -> None:
             os.fsync(fh.fileno())
 
     try:
-        data = store.snapshot()
-        snapshot = _fingerprint(data)
-        stage("graph snapshot", _snapshot_path(path), data)
-        del data  # not held while the bundle is made and written
+        malformed = payload["diagnostics"]["malformed_triple_lines"]
+        body = (_PAIR, marshal.dumps([tuple(d) for d in malformed], 2),
+                store.snapshot())
+        stage("graph snapshot", _snapshot_path(path),
+              _snapshot_header(payload["graph"], _fingerprint(*body)), *body)
+        del body  # not held while the bundle is made and written
         # json.dumps runs the C encoder; json.dump to a file streams
         # through the pure-Python one. Its text, ASCII by default, is
         # encoded once and not held beside its encoding while written.
         stage("bundle", path, json.dumps(
-            {**payload, "format_version": FORMAT_VERSION,
-             "snapshot": snapshot},
+            {**payload, "format_version": FORMAT_VERSION},
             sort_keys=True, separators=(",", ":")).encode(), b"\n")
         for what, target, tmp in staged:
             with _writing(what, target):
@@ -347,76 +372,44 @@ def _load_graph(cfg: PipelineConfig, bundle: dict) -> TripleStore:
     with _reading("triples file", cfg.triples), open(cfg.triples, "rb") as fh:
         graph = _fingerprint(fh.read())
     _check_fingerprint(cfg, bundle, "graph", cfg.triples, graph)
-    return _load_snapshot(cfg, bundle)
+    return _load_snapshot(cfg, graph)[0]
 
 
-def _load_snapshot(cfg: PipelineConfig, bundle: dict) -> TripleStore:
-    """The store in the graph snapshot beside cfg.bundle, for summarize
-    and for a build that reuses it. The snapshot's size and sha256 must be
-    those the bundle records, checked before a byte of it is unmarshalled;
-    then from_snapshot checks its header and every term. A marshal of
-    another shape (a TypeError as from_snapshot unpacks it) is refused
-    as a bad header is."""
+def _load_snapshot(cfg: PipelineConfig, graph: dict
+                   ) -> tuple[TripleStore, list[Diagnostic]]:
+    """The store and the malformed-line diagnostics in the graph snapshot
+    beside cfg.bundle, for summarize and for a build that reuses them. Its
+    header must name graph, the _fingerprint of the graph file just read,
+    and then the size and sha256 of the body, each checked before a byte
+    of the body is unmarshalled; from_snapshot then checks the store's own
+    header and every term. Any fault is a _CommandError."""
     path = _snapshot_path(cfg.bundle)
-    with _reading("graph snapshot", path), open(path, "rb") as fh:
-        data = fh.read()
-    _check_fingerprint(cfg, bundle, "snapshot", path, _fingerprint(data))
+    named = _snapshot_header(graph)
+    # unbuffered, so that the body is read in one piece, not joined to
+    # what a buffer read beyond the header
+    with _reading("graph snapshot", path), \
+            open(path, "rb", buffering=0) as fh:
+        head = fh.read(256)  # more than any header holds
+        header = head[:head.find(b"\n") + 1]
+        if not header.startswith(named):
+            raise _CommandError(
+                f"graph snapshot {path!r} has no header that names "
+                f"{cfg.triples!r} as it is; rebuild the bundle")
+        fh.seek(len(header))
+        body = fh.read()
+    if header != _snapshot_header(graph, _fingerprint(body)):
+        raise _CommandError(f"graph snapshot {path!r} holds another body "
+                            f"than its header records; rebuild the bundle")
+    view = memoryview(body)[len(_PAIR):]
     try:
-        return TripleStore.from_snapshot(data)
-    except (ValueError, TypeError) as exc:
+        diagnostics = marshal.loads(view)
+        # the store's encoding follows the diagnostics' own
+        store = TripleStore.from_snapshot(
+            view[len(marshal.dumps(diagnostics, 2)):])
+        return store, [Diagnostic(*pair) for pair in diagnostics]
+    except (ValueError, TypeError, EOFError) as exc:
         raise _CommandError(
             f"graph snapshot {path!r} {exc}; rebuild the bundle") from None
-
-
-def _diagnostics(found: object) -> list[Diagnostic] | None:
-    """found as loaded, if it is a list of [line number, reason] pairs,
-    as build writes its diagnostics; else None."""
-    if type(found) is not list:
-        return None
-    for pair in found:
-        if not (type(pair) is list and len(pair) == 2
-                and type(pair[0]) is int and type(pair[1]) is str):
-            return None
-    return [Diagnostic(*pair) for pair in found]
-
-
-def _previous_graph(cfg: PipelineConfig, graph: dict
-                    ) -> tuple[TripleStore, list[Diagnostic]] | None:
-    """The store and the malformed-line diagnostics that load_ntriples
-    made of the graph whose _fingerprint is graph, if the bundle already
-    at cfg.bundle was built from that graph and its snapshot passes
-    _load_snapshot's checks; else None, whatever the fault."""
-    # Decoding a whole bundle, neighbor lists and all, is wasted on one
-    # built from another graph: decode only one that may record this one,
-    # found by a scan of the file's pages, not of a copy of its bytes.
-    try:
-        with open(cfg.bundle, "rb") as fh, \
-                mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            if view.find(graph["sha256"].encode()) < 0:
-                return None
-            data = view[:]
-    except (OSError, ValueError):  # ValueError: an empty file, not mapped
-        return None
-    try:
-        bundle = json.loads(data)
-    except (ValueError, RecursionError):
-        return None
-    del data
-    if not (isinstance(bundle, dict)
-            and bundle.get("format_version") == FORMAT_VERSION
-            and bundle.get("graph") == graph
-            and isinstance(bundle.get("diagnostics"), dict)):
-        return None
-    snapshot = {"snapshot": bundle.get("snapshot")}
-    diagnostics = _diagnostics(
-        bundle["diagnostics"].get("malformed_triple_lines"))
-    del bundle  # its neighbor lists are not held while the snapshot loads
-    if diagnostics is None:
-        return None
-    try:
-        return _load_snapshot(cfg, snapshot), diagnostics
-    except _CommandError:
-        return None
 
 
 def _read_links(cfg: PipelineConfig) -> tuple[dict, dict[str, str]]:
@@ -504,11 +497,11 @@ def _writing(what: str, path: str):
 def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
     """Ingest the ratings, load the graph and the link map, compute every
     neighborhood, write the bundle pair at cfg.bundle and log the counts.
-    The graph is parsed only if the pair already at cfg.bundle was not
-    built from the same graph bytes under the same parse rules
-    (_previous_graph): else its snapshot and malformed-line diagnostics
-    are reused, after the checks that summarize makes of them.
-    Everything else is computed afresh."""
+    The graph is parsed only if the snapshot already beside cfg.bundle is
+    not a parse of the same graph bytes under the same parse rules: else
+    its store and malformed-line diagnostics are reused, after the checks
+    that summarize makes of them (_load_snapshot); the previous bundle is
+    not read. Everything else is computed afresh."""
     # numpy, first imported below, calls no BLAS here: start no BLAS threads
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     inputs = {}
@@ -521,10 +514,15 @@ def cmd_build(cfg: PipelineConfig, log: IO[str]) -> int:
                  if rejected else "")
         raise _CommandError(f"no ratings line of {cfg.ratings!r} was "
                             f"accepted ({len(rejected)} rejected{first})")
+
+    def parse_graph(graph: dict, text: IO[str]
+                    ) -> tuple[TripleStore, list[Diagnostic]]:
+        with contextlib.suppress(_CommandError):  # any fault: parse
+            return _load_snapshot(cfg, graph)
+        return load_ntriples(text)
+
     inputs["graph"], (store, triple_diags) = _parse_input(
-        "triples file", cfg.triples,
-        lambda found, text: (_previous_graph(cfg, found)
-                             or load_ntriples(text)))
+        "triples file", cfg.triples, parse_graph)
     inputs["links"], links = _read_links(cfg)
     matrix = ingest.matrix
     unmatched = [item for item in matrix.items

@@ -627,8 +627,8 @@ def test_module_entry_point_runs_end_to_end(eight_film_corpus):
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert "knn triples added: 24" in proc.stdout
-    bundle = pinned_bundle_text(eight_film_corpus)
-    assert hashlib.sha256(bundle.encode()).hexdigest() == (
+    bundle = eight_film_corpus.bundle.read_bytes()
+    assert hashlib.sha256(bundle).hexdigest() == (
         EIGHT_FILM_OUTPUTS["bundle.json"])
 
 
@@ -658,15 +658,6 @@ def test_module_entry_point_equals_main(eight_film_corpus, capsys, argv,
         runs.append((*result, out.read_bytes() if out.exists() else None))
     assert runs[0][0] == code
     assert runs[0] == runs[1]
-
-
-def pinned_bundle_text(corpus) -> str:
-    """The bundle's text, its snapshot sha256 read as SNAPSHOT_SHA256 once it
-    matches the snapshot: the snapshot's header names the Python version."""
-    text = corpus.bundle.read_text()
-    digest = hashlib.sha256(snapshot_of(corpus).read_bytes()).hexdigest()
-    assert json.loads(text)["snapshot"]["sha256"] == digest
-    return text.replace(digest, "SNAPSHOT_SHA256")
 
 
 # knnsum.cli.main(sys.argv[1:]) in a fresh interpreter, which then writes
@@ -866,7 +857,7 @@ def test_readme_snapshot_reader_runs(eight_film_corpus, capsys):
     # the README reads a snapshot with marshal and array alone
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split(
-        "\n### Bundle v3\n")[1].split("\n## ")[0]
+        "\n### Bundle v4\n")[1].split("\n## ")[0]
     reader = section.split("```python\n")[1].split("```")[0]
     (eight_film_corpus.root / "out").mkdir()
     assert build(eight_film_corpus, "--bundle",
@@ -1047,7 +1038,7 @@ def test_bundle_records_the_build_it_was_written_by(eight_film_corpus,
                for line in capsys.readouterr().out.splitlines())
     bundle = json.loads(eight_film_corpus.bundle.read_text())
     assert set(bundle) == {
-        "format_version", "ratings", "graph", "links", "snapshot", "users",
+        "format_version", "ratings", "graph", "links", "users",
         "items", "k", "mode", "threshold", "knn_predicate", "type_filter",
         "knn_triples_added", "diagnostics", "neighbors"}
     diagnostics = bundle["diagnostics"]
@@ -1076,20 +1067,29 @@ def test_bundle_records_the_build_it_was_written_by(eight_film_corpus,
                                      "fixed-k", None)
     assert (bundle["knn_predicate"], bundle["type_filter"]) == (KNN_PRED,
                                                                 FILM_TYPE)
-    data = snapshot_of(eight_film_corpus).read_bytes()
-    assert bundle["snapshot"] == {"sha256": hashlib.sha256(data).hexdigest(),
-                                  "size": len(data)}
+    # the snapshot's header names the graph and the body after it, which
+    # is marshal's encoding of the malformed lines and the store
+    header, body = snapshot_of(eight_film_corpus).read_bytes().split(b"\n", 1)
+    graph = bundle["graph"]
+    assert header.decode("ascii") == (
+        f"knnsum-graph-snapshot graph {graph['size']} {graph['sha256']} "
+        f"body {len(body)} {hashlib.sha256(body).hexdigest()}")
+    assert marshal.dumps(marshal.loads(body), 2) == body
+    diagnostics, store = marshal.loads(body)
+    assert diagnostics == [tuple(pair) for pair in
+                           bundle["diagnostics"]["malformed_triple_lines"]]
+    assert TripleStore.from_snapshot(marshal.dumps(store, 2)) == (
+        load_ntriples(eight_film_corpus.triples.read_text().splitlines())[0])
     assert set(bundle["neighbors"]) == {*FILMS, "m9"}
 
 
 # sha256 of each output on the 8-film fixture; build's last line, which
-# names the bundle path, reads "bundle: BUNDLE", and the bundle is read as
-# pinned_bundle_text gives it
+# names the bundle path, reads "bundle: BUNDLE"
 EIGHT_FILM_OUTPUTS = {
     "build": (
         "f47a0f50bae51c746d727acfc3a9c329986da72670045913053d6336590f4188"),
     "bundle.json": (
-        "5c919848e1de07e317d4d4d12938a201d2dae0ee941266bc8c36c698f7ad9831"),
+        "b53c9d5e516d34e43593f6652e4ab6848887c9f7b3e645d894379d6c65f2100b"),
     "summarize --all": (
         "8b8975aef752599654ffbafb49d7f2f4c6b9a1a1408b7ef448609d1b7255856c"),
     "summarize --all --two-hop --format structured": (
@@ -1101,8 +1101,8 @@ EIGHT_FILM_OUTPUTS = {
 }
 
 
-# the 8-film graph snapshot's size, which the bundle records
-EIGHT_FILM_SNAPSHOT_BYTES = 1478
+# the 8-film graph snapshot's size, its header and body together
+EIGHT_FILM_SNAPSHOT_BYTES = 1661
 
 
 def test_eight_film_outputs_are_pinned(eight_film_corpus, capsys):
@@ -1114,7 +1114,7 @@ def test_eight_film_outputs_are_pinned(eight_film_corpus, capsys):
 
     outputs = {"build": run("build").replace(str(eight_film_corpus.bundle),
                                              "BUNDLE"),
-               "bundle.json": pinned_bundle_text(eight_film_corpus)}
+               "bundle.json": eight_film_corpus.bundle.read_text()}
     outputs["summarize --all"] = run("summarize", "--all")
     outputs["summarize --all --two-hop --format structured"] = run(
         "summarize", "--all", "--two-hop", "--format", "structured")
@@ -1402,7 +1402,8 @@ def test_bundle_bytes_equal_the_streamed_json_encoding(tmp_path):
            enumerate(("ratings", "graph", "links"))},
         "users": len(matrix.users), "items": len(matrix.items), "k": cfg.k,
         "threshold": cfg.threshold, "knn_triples_added": 4,
-        "diagnostics": {"unmatched_items": ["\U0001f3ac"]},
+        "diagnostics": {"unmatched_items": ["\U0001f3ac"],
+                        "malformed_triple_lines": []},
         "neighbors": {center: nl.neighbors for center, nl in lists.items()},
     }, knnsum.TripleStore(eight_film_triples()))
     written = bundle.read_bytes()
@@ -1432,33 +1433,43 @@ def test_failed_snapshot_write_keeps_previous_bundle(eight_film_corpus,
                                       snapshot_of(eight_film_corpus))
 
 
-# -- bundle v2: the graph's and the snapshot's fingerprints -------------------
+# -- bundle v4: the graph's fingerprint, and the snapshot's own header ------
 
 def _edit(path: Path, edit) -> None:
     path.write_bytes(edit(path.read_bytes()))
 
 
-def _record_snapshot(corpus, data: bytes) -> None:
-    """Write data as the snapshot, with its fingerprint in the bundle, as
-    build would: only what data holds can then be refused."""
-    snapshot_of(corpus).write_bytes(data)
-    payload = json.loads(corpus.bundle.read_text())
-    payload["snapshot"] = {"sha256": hashlib.sha256(data).hexdigest(),
-                           "size": len(data)}
-    corpus.bundle.write_text(json.dumps(payload))
+def _body(snapshot: bytes) -> bytes:
+    """A graph snapshot's body: what follows its header line."""
+    return snapshot.split(b"\n", 1)[1]
+
+
+def _stored(corpus) -> tuple:
+    """What the corpus's snapshot body holds: the malformed lines, and the
+    store as TripleStore.snapshot() encodes it."""
+    return marshal.loads(_body(snapshot_of(corpus).read_bytes()))
+
+
+def _record_snapshot(corpus, body: bytes, graph: dict | None = None) -> None:
+    """Write body as the snapshot under the header that build writes, of
+    graph (the corpus's own by default): only what body holds, or the
+    graph named, can then be refused."""
+    graph = graph or json.loads(corpus.bundle.read_text())["graph"]
+    header = knnsum_cli._snapshot_header(graph, knnsum_cli._fingerprint(body))
+    snapshot_of(corpus).write_bytes(header + body)
 
 
 def _other_header(corpus, field: str, value) -> None:
-    header, *body = marshal.loads(snapshot_of(corpus).read_bytes())
+    diagnostics, (header, *store) = _stored(corpus)
     header = tuple((name, value if name == field else old)
                    for name, old in header)
-    _record_snapshot(corpus, marshal.dumps((header, *body), 2))
+    _record_snapshot(corpus, marshal.dumps((diagnostics, (header, *store)), 2))
 
 
 def _header_without(corpus, field: str) -> None:
-    header, *body = marshal.loads(snapshot_of(corpus).read_bytes())
+    diagnostics, (header, *store) = _stored(corpus)
     header = tuple(pair for pair in header if pair[0] != field)
-    _record_snapshot(corpus, marshal.dumps((header, *body), 2))
+    _record_snapshot(corpus, marshal.dumps((diagnostics, (header, *store)), 2))
 
 
 def _snapshot_of_another_build(corpus) -> None:
@@ -1471,12 +1482,12 @@ def _snapshot_of_another_build(corpus) -> None:
 
 
 def _as_nested_layout(corpus) -> None:
-    """The snapshot as the nested-dict layout wrote it, before its header
+    """The store as the nested-dict layout wrote it, before its header
     named an index_layout: the terms, the subject and predicate-object
     indexes as dicts of sets, and the size."""
-    data = snapshot_of(corpus).read_bytes()
-    header, terms, *_arrays = marshal.loads(data)
-    store = TripleStore.from_snapshot(data)
+    diagnostics, (header, terms, *arrays) = _stored(corpus)
+    store = TripleStore.from_snapshot(
+        marshal.dumps((header, terms, *arrays), 2))
     spo, pos = {}, {}
     for t in store:
         s, p, o = (store._ids[term] for term in t)
@@ -1484,15 +1495,23 @@ def _as_nested_layout(corpus) -> None:
         pos.setdefault((p, o), set()).add(s)
     header = tuple(field for field in header if field[0] != "index_layout")
     _record_snapshot(corpus, marshal.dumps(
-        (header, terms, spo, pos, len(store)), 2))
+        (diagnostics, (header, terms, spo, pos, len(store))), 2))
 
 
 def _as_version_1(corpus) -> None:
     payload = json.loads(corpus.bundle.read_text())
-    for name in ("format_version", "graph", "links", "ratings", "snapshot"):
+    for name in ("format_version", "graph", "links", "ratings"):
         del payload[name]
     corpus.bundle.write_text(json.dumps(payload, sort_keys=True, indent=1))
 
+
+def _other_body_size(snapshot: bytes) -> bytes:
+    size = len(_body(snapshot))
+    return snapshot.replace(b" body %d " % size, b" body %d " % (size + 1), 1)
+
+
+NO_HEADER = "has no header that names "
+OTHER_BODY = "holds another body than its header records; "
 
 # damage done to a built 8-film corpus -> a part of the line that refuses it
 BUNDLE_PAIR_DAMAGE = {
@@ -1503,15 +1522,33 @@ BUNDLE_PAIR_DAMAGE = {
         "records graph.sha256 = "),
     "snapshot missing": (lambda c: snapshot_of(c).unlink(),
                          "cannot read graph snapshot "),
+    "snapshot empty": (lambda c: snapshot_of(c).write_bytes(b""), NO_HEADER),
     "snapshot truncated": (
         lambda c: _edit(snapshot_of(c), lambda b: b[:len(b) // 2]),
-        "records snapshot.size = "),
+        OTHER_BODY),
     "snapshot byte flipped": (
         lambda c: _edit(snapshot_of(c),
-                        lambda b: b[:99] + bytes([b[99] ^ 1]) + b[100:]),
-        "records snapshot.sha256 = "),
-    "snapshot of another build": (_snapshot_of_another_build,
-                                  "records snapshot."),
+                        lambda b: b[:-99] + bytes([b[-99] ^ 1]) + b[-98:]),
+        OTHER_BODY),
+    "header of another body size": (
+        lambda c: _edit(snapshot_of(c), _other_body_size), OTHER_BODY),
+    "snapshot of another build": (_snapshot_of_another_build, NO_HEADER),
+    "header of another graph": (
+        lambda c: _record_snapshot(c, _body(snapshot_of(c).read_bytes()),
+                                   {"size": 1, "sha256": "0" * 64}),
+        NO_HEADER),
+    "version 3 snapshot": (  # the store's snapshot alone, with no header
+        lambda c: _edit(snapshot_of(c),
+                        lambda b: marshal.dumps(marshal.loads(_body(b))[1],
+                                                2)),
+        NO_HEADER),
+    "header of another magic": (
+        lambda c: _edit(snapshot_of(c),
+                        lambda b: b.replace(b"snapshot", b"Snapshot", 1)),
+        NO_HEADER),
+    "header not UTF-8": (
+        lambda c: _edit(snapshot_of(c), lambda b: b"\xff" + b[1:]),
+        NO_HEADER),
     "other marshal version": (
         lambda c: _other_header(c, "marshal_version", 1),
         "was written with marshal_version = 1, but this process has "
@@ -1530,10 +1567,13 @@ BUNDLE_PAIR_DAMAGE = {
         f"parse_rules = {PARSE_RULES}; "),
     "version 1 bundle": (
         _as_version_1, "has format_version = None, but this knnsum reads "
-                       "format_version = 3; "),
+                       "format_version = 4; "),
     "snapshot of another shape": (
-        lambda c: _record_snapshot(c, marshal.dumps(5, 2)),
+        lambda c: _record_snapshot(c, marshal.dumps(([], 5), 2)),
         "cannot unpack non-iterable int object; "),
+    "body cut short under its own header": (
+        lambda c: _record_snapshot(c, _body(snapshot_of(c).read_bytes())[:-9]),
+        "marshal data too short; "),
     "nested-dict snapshot": (
         _as_nested_layout,
         "was written with index_layout = None, but this process has "
@@ -1586,6 +1626,14 @@ def _count_parses(monkeypatch) -> list:
     return calls
 
 
+def _refuse_parses(monkeypatch) -> None:
+    """Make load_ntriples, as build calls it, fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was parsed")
+
+    monkeypatch.setattr(knnsum_cli, "load_ntriples", refuse)
+
+
 def _fresh_dir(corpus) -> Path:
     fresh = corpus.root / "fresh"
     fresh.mkdir()
@@ -1600,7 +1648,8 @@ def test_rebuild_over_a_stale_or_damaged_pair_parses_the_graph(
     BUNDLE_PAIR_DAMAGE[damage][0](c)
     parses = _count_parses(monkeypatch)
     rebuilt = _build_in(c, capsys, c.root, monkeypatch)
-    assert parses == [1]
+    # a rebuild reads no bundle: one damaged alone leaves the snapshot
+    assert parses == ([] if damage == "version 1 bundle" else [1])
     assert rebuilt == _build_in(c, capsys, _fresh_dir(c), monkeypatch)
 
 
@@ -1616,11 +1665,7 @@ def test_rebuild_of_an_unchanged_graph_reuses_its_snapshot(
     _edit(c.links, lambda b: b.replace(f"m8\t{film_iri('m8')}\n".encode(),
                                        b""))
     fresh = _build_in(c, capsys, _fresh_dir(c), monkeypatch)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the graph was parsed")
-
-    monkeypatch.setattr(knnsum_cli, "load_ntriples", refuse)
+    _refuse_parses(monkeypatch)
     assert _build_in(c, capsys, c.root, monkeypatch) == fresh
     log, bundle, _snapshot = fresh
     assert "malformed triple lines: 2\n" in log
@@ -1643,75 +1688,23 @@ def test_new_parse_rules_make_a_rebuild_parse(eight_film_corpus, capsys,
     parses = _count_parses(monkeypatch)
     rebuilt = _build_in(c, capsys, c.root, monkeypatch)
     assert parses == [1]
-    assert marshal.loads(rebuilt[2])[0] == bumped
+    assert marshal.loads(_body(rebuilt[2]))[1][0] == bumped
     assert _build_in(c, capsys, c.root, monkeypatch) == rebuilt
     assert parses == [1]
 
 
-@pytest.mark.parametrize("found", [
-    None, {"9": "empty IRI"}, [[9, "empty IRI", 0]], [[9]], [["9", "x"]],
-    [[9.0, "x"]], [[True, "x"]], [[9, None]], [[9, ["x"]]], [(9, "x"), 9]])
-def test_rebuild_over_malformed_diagnostics_parses_the_graph(
-        eight_film_corpus, capsys, monkeypatch, found):
+def test_rebuild_reads_no_bundle(eight_film_corpus, capsys, monkeypatch):
+    # the snapshot vouches for itself: with the bundle gone, a rebuild
+    # still takes the store and its malformed lines from it
     c = eight_film_corpus
-    built = _build_in(c, capsys, c.root, monkeypatch)
-    payload = json.loads(built[1])
-    payload["diagnostics"]["malformed_triple_lines"] = found
-    c.bundle.write_text(json.dumps(payload))
-    parses = _count_parses(monkeypatch)
-    assert _build_in(c, capsys, c.root, monkeypatch) == built
-    assert parses == [1]
-
-
-# a bundle that holds the graph's sha256 but does not vouch for the graph
-@pytest.mark.parametrize("edit", [
-    lambda p: {**p, "format_version": 2},
-    lambda p: {**p, "format_version": "3"},
-    lambda p: {**p, "graph": {**p["graph"], "size": p["graph"]["size"] + 1}},
-    lambda p: {**p, "graph": None, "ratings": p["graph"]},
-    lambda p: {**p, "diagnostics": None},
-    lambda p: [p]])
-def test_rebuild_over_a_bundle_of_another_graph_parses_it(
-        eight_film_corpus, capsys, monkeypatch, edit):
-    c = eight_film_corpus
-    built = _build_in(c, capsys, c.root, monkeypatch)
-    c.bundle.write_text(json.dumps(edit(json.loads(built[1]))))
-    parses = _count_parses(monkeypatch)
-    assert _build_in(c, capsys, c.root, monkeypatch) == built
-    assert parses == [1]
-
-
-def test_rebuild_over_an_empty_file_parses_the_graph(eight_film_corpus,
-                                                     capsys, monkeypatch):
-    # an empty file cannot be mapped, and is passed over as a stale bundle
-    c = eight_film_corpus
+    with c.triples.open("a", encoding="utf-8") as fh:
+        fh.write(f"<{film_iri('m1')}> <{EX}p/genre> <> .\n")
     fresh = _build_in(c, capsys, _fresh_dir(c), monkeypatch)
-    c.bundle.write_bytes(b"")
-    parses = _count_parses(monkeypatch)
+    assert "malformed triple lines: 1\n" in fresh[0]
+    _build_in(c, capsys, c.root, monkeypatch)
+    c.bundle.unlink()
+    _refuse_parses(monkeypatch)
     assert _build_in(c, capsys, c.root, monkeypatch) == fresh
-    assert parses == [1]
-
-
-@pytest.mark.parametrize("graph", ["unchanged", "edited"])
-def test_rebuild_decodes_only_a_bundle_that_names_the_graph(
-        eight_film_corpus, capsys, monkeypatch, graph):
-    c = eight_film_corpus
-    assert build(c) == 0
-    if graph == "edited":
-        _edit(c.triples, lambda b: b + EXTRA_TRIPLE.encode())
-    decoded = []
-    loads = json.loads
-
-    def counted(data, *args, **kwargs):
-        decoded.append(data)
-        return loads(data, *args, **kwargs)
-
-    monkeypatch.setattr(json, "loads", counted)
-    parses = _count_parses(monkeypatch)
-    capsys.readouterr()
-    assert build(c) == 0
-    assert (len(decoded), len(parses)) == ((1, 0) if graph == "unchanged"
-                                           else (0, 1))
 
 
 @pytest.mark.parametrize("command", [

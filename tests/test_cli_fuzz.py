@@ -7,8 +7,10 @@ keeps, damages or replaces the bundle it wrote (a replacement may be
 JSON nested past the recursion limit) and the graph snapshot beside it,
 and runs `neighbors` and
 `summarize`, on fixed targets and on arbitrary text
-(the empty string included). Every command must return 0, 1 or 2 and
-raise nothing. Standard output is a strict UTF-8 stream, as a terminal or
+(the empty string included), then `build` once more over the damaged
+pair, which reads the snapshot before it parses. Every command must
+return 0, 1 or 2 and raise nothing, and a rebuild of a corpus that built
+must write the first build's bytes. Standard output is a strict UTF-8 stream, as a terminal or
 pipe is, so text that cannot be printed also counts as a crash.
 """
 
@@ -99,9 +101,11 @@ def test_arbitrary_input_bytes_never_crash(fixture_bytes, inputs, bundle,
         bundle_path = root / "bundle.json"
         flags += ["--bundle", str(bundle_path), "--type-filter", FILM_TYPE,
                   *mode]
-        assert run(["build", *flags]) in (0, 1, 2)
-        for path, change in ((bundle_path, bundle),
-                             (root / "bundle.json.graph", snapshot)):
+        first = run(["build", *flags])
+        assert first in (0, 1, 2)
+        pair = (bundle_path, root / "bundle.json.graph")
+        built = [path.read_bytes() for path in pair] if first == 0 else None
+        for path, change in zip(pair, (bundle, snapshot)):
             if path.exists() or isinstance(change, bytes):
                 old = path.read_bytes() if path.exists() else b""
                 path.write_bytes(changed(old, change))
@@ -113,3 +117,7 @@ def test_arbitrary_input_bytes_never_crash(fixture_bytes, inputs, bundle,
                      ["summarize", *flags, "--all", "--two-hop",
                       "--format", "structured"]):
             assert run(argv) in (0, 1, 2)
+        rebuilt = run(["build", *flags])
+        assert rebuilt in (0, 1, 2)
+        if built is not None and rebuilt == 0:
+            assert [path.read_bytes() for path in pair] == built
